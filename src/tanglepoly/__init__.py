@@ -32,15 +32,12 @@ from .invariants import (
     IndexValue,
     InvariantError,
     InvariantReport,
-    SmoothSplit,
     henrich_turaev_polynomial,
-    index_from_split,
     intersection_index,
     invariant_report,
     laurent_linking_polynomial,
     linking_polynomial,
     long_ordered_polynomial,
-    oriented_smoothing,
     self_crossing_polynomial,
     virtual_linking_number,
     wriggle_number,

@@ -5,9 +5,10 @@ invariance harness), ``sum`` (connected sum of two diagrams with an
 additivity check), ``derivative`` (finite-type derivatives of a singular
 diagram) and ``gen`` (prescribed-linking-number link generator).
 
-Exit codes: 0 success, 2 parse/validation error, 3 singular input where a
-classical diagram is required, 4 fuzz counterexample, 5 gluing
-incompatibility.  All output is deterministic given inputs, flags and seed.
+Exit codes: 0 success, 2 parse/validation error or an input over one of the
+bounds below, 3 singular input where a classical diagram is required, 4 fuzz
+counterexample, 5 gluing incompatibility.  All output is deterministic given
+inputs, flags and seed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_FUZZ_FAIL = 4
 EXIT_GLUE = 5
+
+# Input bounds, checked before any work: a derivative sums over 2^k
+# resolutions of k singular chords, three times; gen builds a + b chords.
+MAX_SINGULAR_CHORDS = 16
+MAX_GEN_CHORDS = 1_000_000
 
 
 class _CliError(Exception):
@@ -133,6 +139,8 @@ def _cmd_fuzz(args) -> int:
         trail = random_walk(diagram, args.steps, args.seed * 1_000_003 + trial,
                             cap=args.cap)
         for step in range(1, len(trail)):
+            if trail[step] is trail[step - 1]:
+                continue  # no legal move: the walk repeated the diagram
             moves_done += 1
             if invariant_report(trail[step], args.a, args.b) != baseline:
                 failure = {
@@ -199,6 +207,10 @@ def _cmd_derivative(args) -> int:
     path = _single_input(args)
     diagram = _load(path)
     singular_count = sum(1 for c in diagram.chords if not c.is_classical)
+    if singular_count > MAX_SINGULAR_CHORDS:
+        raise _CliError(
+            EXIT_PARSE, f"{path}: {singular_count} singular chords; derivative "
+            f"takes at most {MAX_SINGULAR_CHORDS} (it needs 2^k resolutions)")
     psc = vassiliev_derivative(diagram, self_crossing_polynomial)
     plk = vassiliev_derivative(diagram, lambda d: linking_polynomial(d, args.a, args.b))
     plk_l = vassiliev_derivative(
@@ -224,6 +236,8 @@ def _cmd_derivative(args) -> int:
 def _cmd_gen(args) -> int:
     if args.a_count < 0 or args.b_count < 0:
         raise _CliError(EXIT_PARSE, "gen needs nonnegative band sizes")
+    if args.a_count + args.b_count > MAX_GEN_CHORDS:
+        raise _CliError(EXIT_PARSE, f"gen builds at most {MAX_GEN_CHORDS} chords (a + b)")
     print(serialize(link_with_linking_numbers(args.a_count, args.b_count)), end="")
     return EXIT_OK
 
@@ -276,8 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "steps", 0) < 0 or getattr(args, "trials", 0) < 0:
-        print("steps and trials must be nonnegative", file=sys.stderr)
+    if (getattr(args, "steps", 0) < 0 or getattr(args, "trials", 0) < 0
+            or getattr(args, "cap", 0) < 0):
+        print("steps, trials and cap must be nonnegative", file=sys.stderr)
         return EXIT_PARSE
     try:
         return args.handler(args)

@@ -3,56 +3,45 @@
 The building block is the intersection index of a self-crossing: smoothing
 the crossing along the orientation splits its component into two pieces, and
 the index is the signed count of the remaining self-crossings that join the
-two pieces.  The sign rule is applied combinatorially: a crossing joining
-the pieces counts +sign when its over passage lies on piece 1 and -sign
-otherwise (declaring piece 1 the upper strand flips a crossing exactly when
-piece 1 ran underneath).  Crossings involving other components are ignored.
+two pieces, +sign when the over passage lies on piece 1 and -sign otherwise.
+Crossings involving other components are ignored.
 
-On top of the index sit the polynomial invariants:
+The index is read off integer weights on the visits instead of by smoothing.
+Each passage of a classical self-crossing carries a weight, +sign at its over
+passage and -sign at its under passage; the index of a chord is the sum of
+the weights on its piece 1, since a crossing with both passages on piece 1
+contributes +sign - sign = 0.  On a closed component piece 1 is the arc
+strictly after end_a up to end_b (a deterministic but arbitrary choice that
+only affects the sign); on a long component it is the long piece, the
+strand minus the closed range between the chord's two passages.  Prefix sums
+of the weights give every index in O(1).
+
+One pass over the chords (``_kernel``) lays down the weights and, in the same
+loop, the virtual linking numbers vlk(i,j): the signed count of crossings in
+which component i passes over component j.  Every invariant below is read
+from that pass, in O(C + n^2) for C chords and n components:
 
 * self-crossing polynomial   sum over self-crossings of sign * (t_i^|index| - 1)
 * linking polynomial         adds [a*vlk(i,j) + b*vlk(j,i)] * t_i t_j over pairs i<j
 * Laurent linking polynomial adds a*vlk(i,j)*t_i t_j^-1 + b*vlk(j,i)*t_i^-1 t_j
 
-where vlk(i,j) counts, with sign, the crossings in which component i passes
-over component j.  Components are numbered from 1 in list order, matching
-the variable names t1..tn.
+Components are numbered from 1 in list order, matching the variable names
+t1..tn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .diagram import Chord, Component, TangleDiagram, TangleError
-from .laurent import LaurentPoly, RationalLike, as_fraction, mono, zero
+from .diagram import Chord, Classical, TangleDiagram, TangleError
+# mono and zero stay bound in this module: bench/spans.py wraps them here.
+from .laurent import Exponents, LaurentPoly, RationalLike, as_fraction, mono, zero  # noqa: F401
 
 
 class InvariantError(TangleError):
     """Invariant evaluated outside its preconditions."""
-
-
-@dataclass(frozen=True)
-class SmoothSplit:
-    """Outcome of smoothing a self-crossing along the orientation.
-
-    ``piece1`` and ``piece2`` are disjoint sets of visit positions on the
-    smoothed component, covering everything except the smoothed chord's own
-    two endpoints.  On a long component piece 1 is always the long piece
-    (the one keeping the boundary ends) and piece 2 the closed middle; on a
-    closed component piece 1 is the arc following end_a, a deterministic but
-    arbitrary choice that only affects the sign of the index.
-    """
-
-    chord: str
-    component: str
-    piece1: frozenset[int]
-    piece2: frozenset[int]
-    long_piece1: bool
-
-    def swapped(self) -> "SmoothSplit":
-        return SmoothSplit(self.chord, self.component, self.piece2, self.piece1,
-                           self.long_piece1)
 
 
 @dataclass(frozen=True)
@@ -64,71 +53,66 @@ class IndexValue:
         return abs(self.signed)
 
 
-def _self_chord(diagram: TangleDiagram, label: str) -> tuple[Chord, Component]:
+# label -> (0-based component number, sign, signed index) per classical
+# self-crossing; (over, under) 0-based component numbers -> signed count
+Crossings = dict[str, tuple[int, int, int]]
+Links = dict[tuple[int, int], int]
+
+
+def _kernel(diagram: TangleDiagram) -> tuple[Crossings, Links]:
+    """The one pass over the chords behind every invariant; singular chords
+    are skipped."""
+    number = {comp.cid: k for k, comp in enumerate(diagram.components)}
+    weights = [[0] * len(comp.visits) for comp in diagram.components]
+    self_chords: list[tuple[Chord, int, int]] = []
+    links: Links = {}
+    for chord in diagram.chords:
+        kind = chord.kind
+        if not isinstance(kind, Classical):
+            continue
+        over, under = chord.over_endpoint(), chord.under_endpoint()
+        i, j = number[over.component], number[under.component]
+        if i == j:
+            weights[i][over.position] += kind.sign
+            weights[i][under.position] -= kind.sign
+            self_chords.append((chord, i, kind.sign))
+        else:
+            links[i, j] = links.get((i, j), 0) + kind.sign
+
+    prefixes = [list(accumulate(row, initial=0)) for row in weights]
+    crossings: Crossings = {}
+    for chord, i, sign in self_chords:
+        prefix = prefixes[i]
+        pa, pb = chord.end_a.position, chord.end_b.position
+        if not diagram.components[i].is_closed:
+            # the strand minus [min, max] is the cyclic arc (max, min)
+            pa, pb = max(pa, pb), min(pa, pb)
+        # piece 1 is the open arc (pa, pb), read cyclically
+        if pa < pb:
+            index = prefix[pb] - prefix[pa + 1]
+        else:
+            index = prefix[-1] - (prefix[pa + 1] - prefix[pb])
+        crossings[chord.label] = (i, sign, index)
+    return crossings, links
+
+
+def _require_self_chord(diagram: TangleDiagram, label: str) -> None:
     chord = diagram.chord(label)
     if not chord.is_classical:
         raise InvariantError(f"chord {label!r} is singular and cannot be smoothed")
     if chord.end_a.component != chord.end_b.component:
         raise InvariantError(f"chord {label!r} joins two distinct components")
-    return chord, diagram.component(chord.end_a.component)
-
-
-def oriented_smoothing(diagram: TangleDiagram, label: str) -> SmoothSplit:
-    """Split a component at a classical self-crossing.
-
-    Closed component: piece 1 holds the visits strictly between end_a and
-    end_b in traversal order, piece 2 the complementary arc.  Long
-    component: piece 2 is the closed loop strictly between the two passages,
-    piece 1 the rest of the strand.
-    """
-    chord, comp = _self_chord(diagram, label)
-    size = len(comp.visits)
-    pa, pb = chord.end_a.position, chord.end_b.position
-    if comp.is_closed:
-        piece1 = []
-        pos = (pa + 1) % size
-        while pos != pb:
-            piece1.append(pos)
-            pos = (pos + 1) % size
-        piece2 = []
-        pos = (pb + 1) % size
-        while pos != pa:
-            piece2.append(pos)
-            pos = (pos + 1) % size
-        return SmoothSplit(label, comp.cid, frozenset(piece1), frozenset(piece2), False)
-    first, second = min(pa, pb), max(pa, pb)
-    middle = frozenset(range(first + 1, second))
-    rest = frozenset(range(0, first)) | frozenset(range(second + 1, size))
-    return SmoothSplit(label, comp.cid, rest, middle, True)
-
-
-def index_from_split(diagram: TangleDiagram, split: SmoothSplit) -> IndexValue:
-    """Signed intersection index for a given labeling of the two pieces."""
-    signed = 0
-    for other in diagram.chords:
-        if other.label == split.chord or not other.is_classical:
-            continue
-        if (other.end_a.component != split.component
-                or other.end_b.component != split.component):
-            continue
-        pos_a, pos_b = other.end_a.position, other.end_b.position
-        in1_a = pos_a in split.piece1
-        in1_b = pos_b in split.piece1
-        if in1_a == in1_b:
-            continue  # both endpoints in the same piece: no crossing between pieces
-        over_pos = other.over_endpoint().position
-        sign = other.kind.sign  # type: ignore[union-attr]
-        signed += sign if over_pos in split.piece1 else -sign
-    return IndexValue(signed)
 
 
 def intersection_index(diagram: TangleDiagram, label: str) -> IndexValue:
     """Intersection index of a classical self-crossing.
 
-    Only the absolute value is independent of the piece labeling; the split
-    used here is the deterministic one from ``oriented_smoothing``.
+    Only the absolute value is independent of the piece labeling; the sign
+    follows the choice of piece 1 described in the module docstring.
     """
-    return index_from_split(diagram, oriented_smoothing(diagram, label))
+    _require_self_chord(diagram, label)
+    crossings, _links = _kernel(diagram)
+    return IndexValue(crossings[label][2])
 
 
 def _require_classical(diagram: TangleDiagram, what: str) -> None:
@@ -139,11 +123,36 @@ def _require_classical(diagram: TangleDiagram, what: str) -> None:
                 f"(found {chord.label!r}); resolve them first")
 
 
-def _component_number(diagram: TangleDiagram, number: int) -> Component:
-    if not 1 <= number <= len(diagram.components):
-        raise InvariantError(
-            f"component number {number} out of range 1..{len(diagram.components)}")
-    return diagram.components[number - 1]
+def _index_terms(n: int, crossings: Crossings, signed: bool = False,
+                 ) -> dict[Exponents, int]:
+    """Terms of sum sign * (t_i^index - 1), with |index| unless ``signed``."""
+    counts: dict[tuple[int, int], int] = {}
+    for i, sign, index in crossings.values():
+        key = (i, index if signed else abs(index))
+        counts[key] = counts.get(key, 0) + sign
+    constant = (0,) * n
+    terms: dict[Exponents, int] = {}
+    for (i, exponent), coeff in counts.items():
+        exps = [0] * n
+        exps[i] = exponent
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+        terms[constant] = terms.get(constant, 0) - coeff
+    return terms
+
+
+def _with_links(n: int, psc_terms: dict[Exponents, int], links: Links,
+                a: Fraction, b: Fraction, laurent: bool) -> LaurentPoly:
+    """Self-crossing terms plus vlk(i,j) weighted by a when i < j and by b
+    when i > j, on t_i t_j (plain) or t_i t_j^-1 (Laurent)."""
+    terms: dict[Exponents, Fraction | int] = dict(psc_terms)
+    for (i, j), count in links.items():
+        exps = [0] * n
+        exps[i] = 1
+        exps[j] = -1 if laurent else 1
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + (a if i < j else b) * count
+    return LaurentPoly(n, terms)
 
 
 def self_crossing_polynomial(diagram: TangleDiagram) -> LaurentPoly:
@@ -153,18 +162,8 @@ def self_crossing_polynomial(diagram: TangleDiagram) -> LaurentPoly:
     """
     _require_classical(diagram, "the self-crossing polynomial")
     n = len(diagram.components)
-    result = zero(n)
-    comp_number = {comp.cid: i for i, comp in enumerate(diagram.components)}
-    for chord in diagram.chords:
-        if chord.end_a.component != chord.end_b.component:
-            continue
-        i = comp_number[chord.end_a.component]
-        magnitude = intersection_index(diagram, chord.label).absolute
-        sign = chord.kind.sign  # type: ignore[union-attr]
-        exps = [0] * n
-        exps[i] = magnitude
-        result = result + mono(sign, exps) + mono(-sign, [0] * n)
-    return result
+    crossings, _links = _kernel(diagram)
+    return LaurentPoly(n, _index_terms(n, crossings))
 
 
 def virtual_linking_number(diagram: TangleDiagram, i: int, j: int) -> int:
@@ -173,20 +172,14 @@ def virtual_linking_number(diagram: TangleDiagram, i: int, j: int) -> int:
     Components are numbered from 1 in list order.  Unlike the classical
     linking number this is not symmetric in (i, j).
     """
-    ci = _component_number(diagram, i)
-    cj = _component_number(diagram, j)
+    n = len(diagram.components)
+    for number in (i, j):
+        if not 1 <= number <= n:
+            raise InvariantError(f"component number {number} out of range 1..{n}")
     if i == j:
         raise InvariantError("virtual linking number needs two distinct components")
-    total = 0
-    for chord in diagram.chords:
-        if not chord.is_classical:
-            continue
-        comps = {chord.end_a.component, chord.end_b.component}
-        if comps != {ci.cid, cj.cid}:
-            continue
-        if chord.over_endpoint().component == ci.cid:
-            total += chord.kind.sign  # type: ignore[union-attr]
-    return total
+    _crossings, links = _kernel(diagram)
+    return links.get((i - 1, j - 1), 0)
 
 
 def wriggle_number(diagram: TangleDiagram, i: int, j: int) -> int:
@@ -194,33 +187,19 @@ def wriggle_number(diagram: TangleDiagram, i: int, j: int) -> int:
     return virtual_linking_number(diagram, i, j) - virtual_linking_number(diagram, j, i)
 
 
-def _cross_terms(diagram: TangleDiagram, a: Fraction, b: Fraction,
-                 laurent: bool) -> LaurentPoly:
+def _linking_family(diagram: TangleDiagram, a: RationalLike, b: RationalLike,
+                    laurent: bool, what: str) -> LaurentPoly:
+    _require_classical(diagram, what)
     n = len(diagram.components)
-    result = zero(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            forward = virtual_linking_number(diagram, i, j)
-            backward = virtual_linking_number(diagram, j, i)
-            if laurent:
-                up = [0] * n
-                up[i - 1], up[j - 1] = 1, -1
-                down = [0] * n
-                down[i - 1], down[j - 1] = -1, 1
-                result = result + mono(a * forward, up) + mono(b * backward, down)
-            else:
-                exps = [0] * n
-                exps[i - 1] = exps[j - 1] = 1
-                result = result + mono(a * forward + b * backward, exps)
-    return result
+    crossings, links = _kernel(diagram)
+    return _with_links(n, _index_terms(n, crossings), links,
+                       as_fraction(a), as_fraction(b), laurent)
 
 
 def linking_polynomial(diagram: TangleDiagram, a: RationalLike,
                        b: RationalLike) -> LaurentPoly:
     """Self-crossing polynomial plus [a*vlk(i,j) + b*vlk(j,i)] * t_i t_j."""
-    _require_classical(diagram, "the linking polynomial")
-    return self_crossing_polynomial(diagram) + _cross_terms(
-        diagram, as_fraction(a), as_fraction(b), laurent=False)
+    return _linking_family(diagram, a, b, False, "the linking polynomial")
 
 
 def laurent_linking_polynomial(diagram: TangleDiagram, a: RationalLike,
@@ -231,9 +210,7 @@ def laurent_linking_polynomial(diagram: TangleDiagram, a: RationalLike,
     which is what makes this family strictly stronger than the plain
     linking polynomial.
     """
-    _require_classical(diagram, "the Laurent linking polynomial")
-    return self_crossing_polynomial(diagram) + _cross_terms(
-        diagram, as_fraction(a), as_fraction(b), laurent=True)
+    return _linking_family(diagram, a, b, True, "the Laurent linking polynomial")
 
 
 def henrich_turaev_polynomial(diagram: TangleDiagram) -> LaurentPoly:
@@ -256,12 +233,8 @@ def long_ordered_polynomial(diagram: TangleDiagram) -> LaurentPoly:
     if len(diagram.components) != 1 or not diagram.components[0].is_long:
         raise InvariantError("expected exactly one long component")
     _require_classical(diagram, "the ordered polynomial")
-    result = zero(1)
-    for chord in diagram.chords:
-        signed = intersection_index(diagram, chord.label).signed
-        sign = chord.kind.sign  # type: ignore[union-attr]
-        result = result + mono(sign, (signed,)) + mono(-sign, (0,))
-    return result
+    crossings, _links = _kernel(diagram)
+    return LaurentPoly(1, _index_terms(1, crossings, signed=True))
 
 
 # ── Report assembly ───────────────────────────────────────────────────────
@@ -293,19 +266,18 @@ class InvariantReport:
 
 def invariant_report(diagram: TangleDiagram, a: RationalLike = 1,
                      b: RationalLike = 1) -> InvariantReport:
-    """Evaluate every invariant once; the self-crossing polynomial is shared
-    between the two linking polynomials."""
+    """Evaluate every invariant from one pass over the chords."""
     a_frac, b_frac = as_fraction(a), as_fraction(b)
-    psc = self_crossing_polynomial(diagram)
-    plk = psc + _cross_terms(diagram, a_frac, b_frac, laurent=False)
-    plk_laurent = psc + _cross_terms(diagram, a_frac, b_frac, laurent=True)
+    _require_classical(diagram, "the self-crossing polynomial")
     n = len(diagram.components)
-    vlk_matrix = tuple(
-        tuple(0 if i == j else virtual_linking_number(diagram, i, j)
-              for j in range(1, n + 1))
-        for i in range(1, n + 1))
+    crossings, links = _kernel(diagram)
+    psc_terms = _index_terms(n, crossings)
+    vlk_matrix = tuple(tuple(links.get((i, j), 0) for j in range(n)) for i in range(n))
     wriggle_matrix = tuple(
         tuple(vlk_matrix[i][j] - vlk_matrix[j][i] for j in range(n))
         for i in range(n))
-    return InvariantReport(a_frac, b_frac, psc, plk, plk_laurent,
-                           vlk_matrix, wriggle_matrix)
+    return InvariantReport(
+        a_frac, b_frac, LaurentPoly(n, psc_terms),
+        _with_links(n, psc_terms, links, a_frac, b_frac, laurent=False),
+        _with_links(n, psc_terms, links, a_frac, b_frac, laurent=True),
+        vlk_matrix, wriggle_matrix)

@@ -1,6 +1,7 @@
 """Command-line surface: values, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,19 @@ def test_derivative_matches_compute_without_singular(capsys, trefoil_file):
     assert "psc: -2 + 2 t1" in out
 
 
+def test_derivative_singular_bound(capsys, tmp_path):
+    from tanglepoly.cli import MAX_SINGULAR_CHORDS
+
+    k = MAX_SINGULAR_CHORDS + 1
+    visits = " ".join(f"S{n}+" for n in range(1, k + 1))
+    path = tmp_path / "many.tangle"
+    path.write_text(f"tangle 0 0\ncomponent K closed\n{visits} {visits}\n")
+    code, out, err = run(capsys, "derivative", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{k} singular chords" in err
+
+
 def test_fuzz_success_and_determinism(capsys, clasp_file):
     args = ("fuzz", "-i", clasp_file, "--steps", "25", "--trials", "4",
             "--seed", "7")
@@ -134,6 +148,41 @@ def test_fuzz_success_and_determinism(capsys, clasp_file):
     code, third, _ = run(capsys, "fuzz", "-i", clasp_file, "--steps", "0",
                          "--trials", "2", "--seed", "7")
     assert code == 0
+
+
+def test_fuzz_counts_only_applied_moves(capsys):
+    # cap 0 leaves the chordless braid no legal move, so every step repeats
+    sample = Path(__file__).resolve().parent.parent / "samples" / "identity_braid2.tangle"
+    code, out, _ = run(capsys, "fuzz", "-i", str(sample),
+                       "--steps", "50", "--trials", "2", "--cap", "0")
+    assert code == 0
+    assert "moves=0" in out
+
+
+def test_fuzz_skips_repeated_steps(capsys, clasp_file, monkeypatch):
+    import tanglepoly.cli as cli
+
+    reports = []
+    original = cli.invariant_report
+
+    def counting_report(diagram, a, b):
+        reports.append(diagram)
+        return original(diagram, a, b)
+
+    monkeypatch.setattr(cli, "invariant_report", counting_report)
+    monkeypatch.setattr(cli, "random_walk",
+                        lambda diagram, steps, seed, cap: [diagram] * (steps + 1))
+    code, out, _ = run(capsys, "fuzz", "-i", clasp_file, "--steps", "5",
+                       "--trials", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["moves"] == 0
+    assert len(reports) == 1  # the baseline only
+
+
+def test_fuzz_negative_cap(capsys, clasp_file):
+    code, _, err = run(capsys, "fuzz", "-i", clasp_file, "--cap", "-3")
+    assert code == 2
+    assert "cap" in err
 
 
 def test_fuzz_rejects_singular(capsys, singular_file):
@@ -230,6 +279,15 @@ def test_gen_separation_witness(capsys, tmp_path):
 def test_gen_negative(capsys):
     code, _, err = run(capsys, "gen", "-1", "2")
     assert code == 2
+
+
+def test_gen_bound(capsys):
+    from tanglepoly.cli import MAX_GEN_CHORDS
+
+    code, out, err = run(capsys, "gen", str(MAX_GEN_CHORDS), "1")
+    assert code == 2
+    assert out == ""
+    assert "at most" in err
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -3,7 +3,8 @@ families, linking and wriggle numbers.
 
 Expected values are frozen from hand smoothings of the planar diagrams
 (virtual and classical trefoils, clasp variants); the structural properties
-are checked on seeded random diagrams.
+are checked on seeded random diagrams, and the prefix-sum kernel is checked
+against the slow smoothing oracle in ``smoothing_oracle``.
 """
 
 import random
@@ -15,13 +16,11 @@ from tanglepoly import (
     InvariantError,
     henrich_turaev_polynomial,
     link_with_linking_numbers,
-    index_from_split,
     intersection_index,
     invariant_report,
     laurent_linking_polynomial,
     linking_polynomial,
     long_ordered_polynomial,
-    oriented_smoothing,
     parse,
     reverse_component,
     self_crossing_polynomial,
@@ -29,6 +28,14 @@ from tanglepoly import (
     wriggle_number,
 )
 from tanglepoly.laurent import zero
+from smoothing_oracle import (
+    index_from_split,
+    oriented_smoothing,
+    slow_index,
+    slow_long_ordered,
+    slow_report,
+    slow_vlk,
+)
 from helpers import (
     clasp,
     clasp_single_chord,
@@ -38,6 +45,7 @@ from helpers import (
     poly,
     random_closed_knot,
     random_diagram,
+    random_string_link,
     random_two_component_closed,
     singular_virtual_trefoil,
     virtual_trefoil,
@@ -317,3 +325,56 @@ def test_report_shape_and_json():
     assert data["plk"]["a"] == "1" and data["plk"]["b"] == "2"
     assert data["plk"]["value"] == [{"coeff": "3", "exps": [1, 1]}]
     assert report.psc == zero(2)
+
+
+# ── differential tests against the smoothing oracle ──────────────────────
+
+def _oracle_diagrams(seed):
+    """Seeded closed, mixed, all-long and partly singular diagrams of up to
+    four components."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        yield random_diagram(rng, max_components=4, max_chords=14, allow_long=False)
+        yield random_diagram(rng, max_components=4, max_chords=14)
+        yield random_string_link(rng, rng.randint(1, 4), max_chords=14)
+        yield random_diagram(rng, max_components=4, max_chords=10, n_singular=2)
+
+
+def test_index_matches_oracle_signed():
+    checked = 0
+    for d in _oracle_diagrams(101):
+        for chord in d.chords:
+            if chord.is_classical and chord.end_a.component == chord.end_b.component:
+                assert intersection_index(d, chord.label).signed == slow_index(d, chord.label)
+                checked += 1
+    assert checked > 500
+
+
+def test_vlk_matches_pairwise_count():
+    for d in _oracle_diagrams(103):
+        n = len(d.components)
+        want = [[0 if i == j else slow_vlk(d, i, j) for j in range(1, n + 1)]
+                for i in range(1, n + 1)]
+        assert [[0 if i == j else virtual_linking_number(d, i, j)
+                 for j in range(1, n + 1)] for i in range(1, n + 1)] == want
+        if not d.has_singular():
+            assert [list(row) for row in invariant_report(d).vlk] == want
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (Fraction(2, 3), -5)])
+def test_report_matches_oracle(a, b):
+    for d in _oracle_diagrams(107):
+        if d.has_singular():
+            continue
+        want = slow_report(d, a, b)
+        assert invariant_report(d, a, b) == want
+        assert self_crossing_polynomial(d) == want.psc
+        assert linking_polynomial(d, a, b) == want.plk
+        assert laurent_linking_polynomial(d, a, b) == want.plk_laurent
+
+
+def test_long_ordered_matches_oracle():
+    rng = random.Random(109)
+    for _ in range(60):
+        d = random_string_link(rng, 1, max_chords=14)
+        assert long_ordered_polynomial(d) == slow_long_ordered(d)
