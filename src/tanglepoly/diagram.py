@@ -428,57 +428,28 @@ def _kind_key(kind: ChordKind) -> tuple:
     return ("S", kind.frame)
 
 
-def _best_rotation(diagram: TangleDiagram, comp: Component,
-                   tokens: Sequence[Token]) -> int:
-    """Rotation of a closed component minimizing its local canonical key.
-
-    The key re-derives end tags as they would be assigned after the
-    rotation: a self-chord's first passage becomes 'a' (flipping the kind
-    along), while a chord shared with another component keeps a tag that
-    does not depend on this rotation.  All tokens are distinct, so ties can
-    only occur between rotations producing identical local structure.
-    """
-    chord_by_label = {c.label: c for c in diagram.chords}
-    n = len(tokens)
-    best_r = 0
-    best_key: tuple | None = None
-    for r in range(n):
-        rotated = [tokens[(r + i) % n] for i in range(n)]
-        first_seen: dict[str, int] = {}
-        key = []
-        for i, (label, tag) in enumerate(rotated):
-            chord = chord_by_label[label]
-            self_chord = chord.end_a.component == chord.end_b.component == comp.cid
-            if self_chord:
-                if label not in first_seen:
-                    first_seen[label] = i
-                    # tag renamed to 'a'; kind flipped if stored end_a is not
-                    # the passage now seen first
-                    kind = chord.kind if tag == "a" else _flip_kind(chord.kind)
-                    key.append((label, "a", _kind_key(kind)))
-                else:
-                    key.append((label, "b", None))
-            else:
-                key.append((label, tag, _kind_key(chord.kind)))
-        key_t = tuple(key)
-        if best_key is None or key_t < best_key:
-            best_key = key_t
-            best_r = r
-    return best_r
-
-
 def canonical(diagram: TangleDiagram) -> TangleDiagram:
     """Canonical representative: each closed component rotated to a
     deterministic basepoint and chord ends renamed to traversal order.
-    Component order and chord labels are untouched."""
+    Component order and chord labels are untouched.
+
+    The basepoint is a passage of the component's smallest chord label
+    (string order).  When that chord has both passages on the component,
+    it is the passage whose kind, renamed so that the passage is end_a, has
+    the smaller ``_kind_key``: the over passage of a classical chord, the
+    passage at which the frame of a singular chord reads -1.
+    """
     tokens = component_tokens(diagram)
+    kinds = _kind_map(diagram)
     for comp in diagram.components:
-        if comp.is_closed and len(comp.visits) > 1:
-            r = _best_rotation(diagram, comp, tokens[comp.cid])
-            if r:
-                row = tokens[comp.cid]
-                tokens[comp.cid] = row[r:] + row[:r]
-    return _rebuild(diagram, tokens, _kind_map(diagram))
+        row = tokens[comp.cid]
+        if comp.is_closed and row:
+            first = min(label for label, _tag in row)
+            kind = kinds[first]
+            r = min((i for i, (label, _tag) in enumerate(row) if label == first),
+                    key=lambda i: _kind_key(kind if row[i][1] == "a" else _flip_kind(kind)))
+            tokens[comp.cid] = row[r:] + row[:r]
+    return _rebuild(diagram, tokens, kinds)
 
 
 def equal_diagrams(left: TangleDiagram, right: TangleDiagram) -> bool:

@@ -6,6 +6,7 @@ Grammar (whitespace-separated tokens, ``#`` starts a comment to end of line):
     component := "component" NAME kind NEWLINE visit*
     kind      := "closed" | "long" BPOINT BPOINT      first=start (in), second=end (out)
     BPOINT    := ("T"|"B") INT ":" ("in"|"out")       1-based index on that side
+    INT       := 1 to 9 ASCII digits
     visit     := ("O"|"U") LABEL ("+"|"-")            classical passage
                | "S" LABEL ("+"|"-")                  singular passage (sign = frame)
 
@@ -104,10 +105,17 @@ class _Stream:
         return token
 
 
-def _parse_int(token: _Token, what: str) -> int:
-    if not token.text.isdigit():
-        raise ParseError(f"expected {what}, got {token.text!r}", token.span)
-    return int(token.text)
+# Counts and boundary indices: ASCII digits only, and few enough of them that
+# int() stays cheap and the number fits any diagram that fits in memory.
+_MAX_DIGITS = 9
+
+
+def _parse_int(text: str, what: str, span: SourceSpan) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"expected {what}, got {text!r}", span)
+    if len(text) > _MAX_DIGITS:
+        raise ParseError(f"{what} has more than {_MAX_DIGITS} digits", span)
+    return int(text)
 
 
 def _parse_bpoint(token: _Token) -> tuple[BoundaryPoint, _Token]:
@@ -115,7 +123,7 @@ def _parse_bpoint(token: _Token) -> tuple[BoundaryPoint, _Token]:
     if not match:
         raise ParseError(f"bad boundary point {token.text!r}", token.span)
     side = Side.TOP if match.group(1) == "T" else Side.BOTTOM
-    index = int(match.group(2))
+    index = _parse_int(match.group(2), "boundary index", token.span)
     direction = Direction.IN if match.group(3) == "in" else Direction.OUT
     return BoundaryPoint(side, index, direction), token
 
@@ -141,8 +149,10 @@ def parse(text: str) -> TangleDiagram:
     header = stream.next("'tangle'")
     if header.text != "tangle":
         raise ParseError(f"expected 'tangle', got {header.text!r}", header.span)
-    top = _parse_int(stream.next("top point count"), "top point count")
-    bottom = _parse_int(stream.next("bottom point count"), "bottom point count")
+    token = stream.next("top point count")
+    top = _parse_int(token.text, "top point count", token.span)
+    token = stream.next("bottom point count")
+    bottom = _parse_int(token.text, "bottom point count", token.span)
 
     specs: list[tuple[str, BoundaryPoint | None, BoundaryPoint | None, list]] = []
     passages: dict[str, list[_Passage]] = {}

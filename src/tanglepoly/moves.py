@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .diagram import (
     Chord,
@@ -153,10 +154,6 @@ def _fresh_labels(diagram: TangleDiagram, count: int) -> list[str]:
     return labels
 
 
-def _is_over(chord: Chord, tag: str) -> bool:
-    return isinstance(chord.kind, Classical) and chord.kind.over == tag
-
-
 # ── Kink moves ────────────────────────────────────────────────────────────
 
 
@@ -271,32 +268,43 @@ def _apply_pair_insert(diagram: TangleDiagram, site: PairInsert) -> TangleDiagra
     return _rebuild(diagram, tokens, kinds)
 
 
-def _pair_remove_sites(diagram: TangleDiagram) -> list[PairRemove]:
-    chord_by_label = {c.label: c for c in diagram.chords}
-    tokens = component_tokens(diagram)
-    sites = []
+def _over_passages(diagram: TangleDiagram) -> dict[tuple[str, int], Chord]:
+    """The classical chord whose over passage sits at each (component id,
+    position)."""
+    over_at = {}
+    for chord in diagram.chords:
+        if chord.is_classical:
+            end = chord.over_endpoint()
+            over_at[end.component, end.position] = chord
+    return over_at
+
+
+def _over_pairs(diagram: TangleDiagram, over_at: dict[tuple[str, int], Chord],
+                ) -> Iterator[tuple[Chord, Chord]]:
+    """Pairs (first, second) of classical chords whose over passages are
+    adjacent on one component, second right after first."""
     for comp in diagram.components:
-        row = tokens[comp.cid]
-        for pos in range(len(row)):
+        for pos in range(len(comp.visits)):
+            first = over_at.get((comp.cid, pos))
             nxt = _next_pos(comp, pos)
-            if nxt is None:
-                continue
-            label1, tag1 = row[pos]
-            label2, tag2 = row[nxt]
-            if label1 == label2:
-                continue
-            c1, c2 = chord_by_label[label1], chord_by_label[label2]
-            if not (_is_over(c1, tag1) and _is_over(c2, tag2)):
-                continue
-            if c1.kind.sign + c2.kind.sign != 0:  # type: ignore[union-attr]
-                continue
-            u1, u2 = c1.under_endpoint(), c2.under_endpoint()
-            if u1.component != u2.component:
-                continue
-            under_comp = diagram.component(u1.component)
-            if (_adjacent(under_comp, u1.position, u2.position)
-                    or _adjacent(under_comp, u2.position, u1.position)):
-                sites.append(PairRemove(label1, label2))
+            if first is not None and nxt is not None:
+                second = over_at.get((comp.cid, nxt))
+                if second is not None:
+                    yield first, second
+
+
+def _pair_remove_sites(diagram: TangleDiagram) -> list[PairRemove]:
+    sites = []
+    for c1, c2 in _over_pairs(diagram, _over_passages(diagram)):
+        if c1.kind.sign + c2.kind.sign != 0:  # type: ignore[union-attr]
+            continue
+        u1, u2 = c1.under_endpoint(), c2.under_endpoint()
+        if u1.component != u2.component:
+            continue
+        under_comp = diagram.component(u1.component)
+        if (_adjacent(under_comp, u1.position, u2.position)
+                or _adjacent(under_comp, u2.position, u1.position)):
+            sites.append(PairRemove(c1.label, c2.label))
     return sites
 
 
@@ -357,40 +365,21 @@ def _triangle_pairs(diagram: TangleDiagram, site: TriangleSlide,
 
 
 def _triangle_sites(diagram: TangleDiagram) -> list[TriangleSlide]:
-    chord_by_label = {c.label: c for c in diagram.chords}
-    tokens = component_tokens(diagram)
+    over_at = _over_passages(diagram)
     sites = []
-    for comp in diagram.components:
-        row = tokens[comp.cid]
-        for pos in range(len(row)):
-            nxt = _next_pos(comp, pos)
-            if nxt is None:
+    for c1, c2 in _over_pairs(diagram, over_at):
+        # forward: this is the over pair (x, y); z is the chord whose over
+        # passage follows x's under passage in the direction of the slide
+        for forward, (x, y) in ((True, (c1, c2)), (False, (c2, c1))):
+            step = _next_pos if forward else _prev_pos
+            ux = x.under_endpoint()
+            spot = step(diagram.component(ux.component), ux.position)
+            z = over_at.get((ux.component, spot))
+            if z is None:
                 continue
-            label1, tag1 = row[pos]
-            label2, tag2 = row[nxt]
-            if label1 == label2:
-                continue
-            c1, c2 = chord_by_label[label1], chord_by_label[label2]
-            if not (_is_over(c1, tag1) and _is_over(c2, tag2)):
-                continue
-            # forward: this is the over pair (x, y); z is read off the
-            # successors of the under passages
-            for forward, (x, y) in ((True, (c1, c2)), (False, (c2, c1))):
-                step = _next_pos if forward else _prev_pos
-                ux = x.under_endpoint()
-                comp_b = diagram.component(ux.component)
-                spot = step(comp_b, ux.position)
-                if spot is None:
-                    continue
-                z_label, z_tag = tokens[ux.component][spot]
-                if z_label in (x.label, y.label):
-                    continue
-                z = chord_by_label[z_label]
-                if not _is_over(z, z_tag):
-                    continue
-                candidate = TriangleSlide(x.label, y.label, z_label, forward)
-                if _triangle_pairs(diagram, candidate) is not None:
-                    sites.append(candidate)
+            candidate = TriangleSlide(x.label, y.label, z.label, forward)
+            if _triangle_pairs(diagram, candidate) is not None:
+                sites.append(candidate)
     return sites
 
 
@@ -408,34 +397,37 @@ def _apply_triangle(diagram: TangleDiagram, site: TriangleSlide) -> TangleDiagra
 # ── Public surface ────────────────────────────────────────────────────────
 
 
+_SITE_FINDERS = {
+    MoveKind.KINK_INSERT: _kink_insert_sites,
+    MoveKind.KINK_REMOVE: _kink_remove_sites,
+    MoveKind.PAIR_INSERT: _pair_insert_sites,
+    MoveKind.PAIR_REMOVE: _pair_remove_sites,
+    MoveKind.TRIANGLE_SLIDE: _triangle_sites,
+}
+
+_APPLIERS = {
+    KinkInsert: _apply_kink_insert,
+    KinkRemove: _apply_kink_remove,
+    PairInsert: _apply_pair_insert,
+    PairRemove: _apply_pair_remove,
+    TriangleSlide: _apply_triangle,
+}
+
+
 def enumerate_sites(diagram: TangleDiagram, kind: MoveKind) -> list[MoveSite]:
     """Every legal application of one move kind, in a deterministic order."""
-    if kind is MoveKind.KINK_INSERT:
-        return list(_kink_insert_sites(diagram))
-    if kind is MoveKind.KINK_REMOVE:
-        return list(_kink_remove_sites(diagram))
-    if kind is MoveKind.PAIR_INSERT:
-        return list(_pair_insert_sites(diagram))
-    if kind is MoveKind.PAIR_REMOVE:
-        return list(_pair_remove_sites(diagram))
-    if kind is MoveKind.TRIANGLE_SLIDE:
-        return list(_triangle_sites(diagram))
-    raise MoveError(f"unknown move kind {kind!r}")
+    finder = _SITE_FINDERS.get(kind)
+    if finder is None:
+        raise MoveError(f"unknown move kind {kind!r}")
+    return finder(diagram)
 
 
 def apply(diagram: TangleDiagram, site: MoveSite) -> TangleDiagram:
     """Apply one move; raises MoveError when the site is stale."""
-    if isinstance(site, KinkInsert):
-        return _apply_kink_insert(diagram, site)
-    if isinstance(site, KinkRemove):
-        return _apply_kink_remove(diagram, site)
-    if isinstance(site, PairInsert):
-        return _apply_pair_insert(diagram, site)
-    if isinstance(site, PairRemove):
-        return _apply_pair_remove(diagram, site)
-    if isinstance(site, TriangleSlide):
-        return _apply_triangle(diagram, site)
-    raise MoveError(f"unknown move site {site!r}")
+    applier = _APPLIERS.get(type(site))
+    if applier is None:
+        raise MoveError(f"unknown move site {site!r}")
+    return applier(diagram, site)
 
 
 DEFAULT_CHORD_CAP = 24

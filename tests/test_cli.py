@@ -1,6 +1,7 @@
 """Command-line surface: values, formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,46 @@ def test_compute_rational_flag_rejected(capsys, clasp_file):
             main(["compute", "-i", clasp_file, "--a", bad])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+def test_compute_rational_bounds_before_fraction(capsys, clasp_file, monkeypatch):
+    # Fraction('1e<k>') builds 10**k; such text must be refused unread
+    import tanglepoly.cli as cli
+
+    seen = []
+
+    def spy(*args):
+        seen.extend(arg for arg in args if isinstance(arg, str))
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", spy)
+    too_long = "1" * (cli.MAX_RATIONAL_CHARS + 1)
+    for argv in (["--a", "1e5000"], ["--b=1e999999999"], ["--a", "2E3"],
+                 ["--a", too_long]):
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "-i", clasp_file, *argv])
+        assert info.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
+    assert seen == []
+    code, out, _ = run(capsys, "compute", "-i", clasp_file, "--a", "0.5", "--b=-1/5")
+    assert code == 0
+    assert "a: 1/2" in out and "b: -1/5" in out
+
+
+@pytest.mark.parametrize("text, span", [
+    ("tangle \u00b2 0\n", "line 1, cols 8-8"),
+    ("tangle \u0663 0\n", "line 1, cols 8-8"),
+    ("tangle 1 " + "9" * 5000 + "\n", "line 1, cols 10-5009"),
+    ("tangle 1 1\ncomponent A long T" + "9" * 5000 + ":in B1:out\n",
+     "line 2, cols 18-5021"),
+], ids=["superscript-digit", "arabic-indic-digit", "long-count", "long-boundary-index"])
+def test_bad_integer_token_exit_code(capsys, tmp_path, text, span):
+    path = tmp_path / "bad.tangle"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "compute", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"({span})" in err
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

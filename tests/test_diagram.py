@@ -192,3 +192,47 @@ def test_from_tokens_rejects_incomplete_chords():
     with pytest.raises(DiagramError):
         from_tokens(0, 0, [("K", None, None, [("1", "a"), ("1", "a")])],
                     {"1": Classical(1, "a")})
+
+
+def _closed_link(rng, components, chords, singular):
+    """``chords`` chords spread over closed components; labels 1..singular
+    are singular chords."""
+    rows: list[list] = [[] for _ in range(components)]
+    kinds = {}
+    for k in range(1, chords + 1):
+        kinds[str(k)] = (Singular(rng.choice((1, -1))) if k <= singular
+                         else Classical(rng.choice((1, -1)), rng.choice(("a", "b"))))
+        for tag in ("a", "b"):
+            rows[rng.randrange(components)].append((str(k), tag))
+    for row in rows:
+        rng.shuffle(row)
+    specs = [(f"K{i + 1}", None, None, row) for i, row in enumerate(rows)]
+    return from_tokens(0, 0, specs, kinds)
+
+
+CANONICAL_NAMED = [
+    # two-visit kink circle, both basepoints and both signs
+    "tangle 0 0\ncomponent K closed\nO1+ U1+\n",
+    "tangle 0 0\ncomponent K closed\nU1- O1-\n",
+    # smallest label on a chord shared with another component
+    "tangle 0 0\ncomponent A closed\nO2+ U3- O1+ O3- U2+\ncomponent B closed\nO4+ U1+ U4+\n",
+    "tangle 0 0\ncomponent A closed\nO3+ U1- O2+ U3+ U2+\ncomponent B closed\nO1-\n",
+    # smallest label on a singular self-chord, once with each frame
+    "tangle 0 0\ncomponent K closed\nO2+ S1+ U2+ S1+ O3- U3-\n",
+    "tangle 0 0\ncomponent K closed\nO2+ S1- U2+ S1- O3- U3-\n",
+]
+
+
+def test_canonical_matches_rotation_search():
+    from tanglepoly import canonical
+    from rotation_oracle import canonical_by_search
+
+    rng = random.Random(4096)
+    inputs = [parse(text) for text in CANONICAL_NAMED]
+    for i in range(2400):
+        inputs.append(random_diagram(rng, max_components=4, max_chords=12,
+                                     n_singular=rng.randint(0, 3),
+                                     allow_long=i % 2 == 1))
+    inputs += [_closed_link(rng, 4, 800, singular) for singular in (0, 1, 3)]
+    for d in inputs:
+        assert canonical(d) == canonical_by_search(d), d

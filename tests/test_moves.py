@@ -1,6 +1,7 @@
 """Move rewrites: site enumeration, insert/remove round trips, the triangle
 slide, and invariance of every invariant under every move."""
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from tanglepoly import (
     self_crossing_polynomial,
     validate,
 )
-from tanglepoly.moves import KinkInsert, PairInsert, TriangleSlide
+from tanglepoly.moves import KinkInsert, PairInsert, PairRemove, TriangleSlide, _triangle_pairs
 from helpers import (
     clasp,
     closed_triangle_knot,
@@ -171,3 +172,63 @@ def test_walk_preserves_invariants_smoke():
     for step in random_walk(d, 100, seed=21):
         assert validate(step) == []
         assert invariant_report(step, 1, 2) == baseline
+
+
+def _follows(comp, first, second):
+    """Position ``second`` comes right after ``first`` on the component."""
+    size = len(comp.visits)
+    if comp.is_closed:
+        return size > 1 and second == (first + 1) % size
+    return second == first + 1
+
+
+def _site_inputs():
+    rng = random.Random(73)
+    inputs = [positive_braid_triangle(), closed_triangle_knot()]
+    # over pairs across the basepoint of a closed component
+    inputs += [parse("tangle 0 0\ncomponent K closed\nO2- U1+ U2- O1+\n"),
+               parse("tangle 0 0\ncomponent K closed\nOY+ UX+ OZ+ UY+ UZ+ OX+\n")]
+    for start in (positive_braid_triangle(), closed_triangle_knot(), virtual_trefoil()):
+        for seed in (5, 6, 7):
+            inputs += random_walk(start, 40, seed=seed, cap=12)[1::2]
+    inputs += [random_diagram(rng, max_components=3, max_chords=9) for _ in range(40)]
+    return inputs
+
+
+def test_pair_remove_sites_complete():
+    found = 0
+    for d in _site_inputs():
+        classical = [c for c in d.chords if c.is_classical]
+        expected = set()
+        for c1, c2 in itertools.permutations(classical, 2):
+            o1, o2 = c1.over_endpoint(), c2.over_endpoint()
+            u1, u2 = c1.under_endpoint(), c2.under_endpoint()
+            if (o1.component == o2.component
+                    and _follows(d.component(o1.component), o1.position, o2.position)
+                    and c1.kind.sign == -c2.kind.sign
+                    and u1.component == u2.component
+                    and (_follows(d.component(u1.component), u1.position, u2.position)
+                         or _follows(d.component(u1.component), u2.position, u1.position))):
+                expected.add(PairRemove(c1.label, c2.label))
+        sites = enumerate_sites(d, MoveKind.PAIR_REMOVE)
+        assert len(sites) == len(set(sites))
+        assert set(sites) == expected
+        found += len(sites)
+    assert found >= 10
+
+
+def test_triangle_sites_complete():
+    found = 0
+    for d in _site_inputs():
+        labels = [c.label for c in d.chords]
+        expected = {
+            site
+            for x, y, z in itertools.permutations(labels, 3)
+            for forward in (True, False)
+            if _triangle_pairs(d, site := TriangleSlide(x, y, z, forward)) is not None
+        }
+        sites = enumerate_sites(d, MoveKind.TRIANGLE_SLIDE)
+        assert len(sites) == len(set(sites))
+        assert set(sites) == expected
+        found += len(sites)
+    assert found >= 10
