@@ -40,10 +40,14 @@ EXIT_GLUE = 5
 
 # Input bounds, checked before any work: a derivative sums over 2^k
 # resolutions of k singular chords, three times; gen builds a + b chords;
-# Fraction expands the digits of a coefficient (and 1e<k> to 10**k), so its
-# text is bounded and exponent notation refused.
+# a fuzz walk keeps all steps + 1 of its diagrams and grows them up to cap
+# chords, trial after trial; Fraction expands the digits of a coefficient
+# (and 1e<k> to 10**k), so its text is bounded and exponent notation refused.
 MAX_SINGULAR_CHORDS = 16
 MAX_GEN_CHORDS = 1_000_000
+MAX_FUZZ_STEPS = 10_000
+MAX_FUZZ_TRIALS = 10_000
+MAX_FUZZ_CAP = 1_000
 MAX_RATIONAL_CHARS = 100
 
 
@@ -136,6 +140,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    for flag, value, bound in (("steps", args.steps, MAX_FUZZ_STEPS),
+                               ("trials", args.trials, MAX_FUZZ_TRIALS),
+                               ("cap", args.cap, MAX_FUZZ_CAP)):
+        if value > bound:
+            raise _CliError(EXIT_PARSE, f"fuzz takes --{flag} of at most {bound}")
     path = _single_input(args)
     diagram = _load(path)
     _require_classical(diagram, path)

@@ -21,8 +21,10 @@ structural equality of canonicalized diagrams is meaningful.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -136,17 +138,33 @@ class TangleDiagram:
     components: tuple[Component, ...]
     chords: tuple[Chord, ...]
 
-    def component(self, cid: str) -> Component:
+    # Lookup indexes, built on first use; on a repeated id or label the
+    # first one wins, as in a scan.
+    @cached_property
+    def _component_index(self) -> dict[str, Component]:
+        index: dict[str, Component] = {}
         for comp in self.components:
-            if comp.cid == cid:
-                return comp
-        raise DiagramError(f"unknown component {cid!r}")
+            index.setdefault(comp.cid, comp)
+        return index
+
+    @cached_property
+    def _chord_index(self) -> dict[str, Chord]:
+        index: dict[str, Chord] = {}
+        for chord in self.chords:
+            index.setdefault(chord.label, chord)
+        return index
+
+    def component(self, cid: str) -> Component:
+        comp = self._component_index.get(cid)
+        if comp is None:
+            raise DiagramError(f"unknown component {cid!r}")
+        return comp
 
     def chord(self, label: str) -> Chord:
-        for chord in self.chords:
-            if chord.label == label:
-                return chord
-        raise DiagramError(f"unknown chord {label!r}")
+        chord = self._chord_index.get(label)
+        if chord is None:
+            raise DiagramError(f"unknown chord {label!r}")
+        return chord
 
     def component_ids(self) -> tuple[str, ...]:
         return tuple(comp.cid for comp in self.components)
@@ -380,6 +398,90 @@ def _rebuild(diagram: TangleDiagram, tokens: Mapping[str, Sequence[Token]],
             start, end = boundary[comp.cid]
         specs.append((comp.cid, start, end, tokens[comp.cid]))
     return from_tokens(diagram.top, diagram.bottom, specs, kinds)
+
+
+def _splice(diagram: TangleDiagram, drop: Iterable[str] = (),
+            inserts: Iterable[tuple[str, int, Sequence[Token]]] = (),
+            kinds: Mapping[str, ChordKind] | None = None) -> TangleDiagram:
+    """The diagram after a local edit, built from the old one instead of
+    from its tokens.
+
+    Deletes the chords labelled in ``drop`` and puts the tokens of each
+    insert ``(component id, gap, tokens)`` before visit ``gap`` (gaps index
+    the visits before the edit); ``kinds`` gives the kind of each new chord
+    with its tags as written.  Positions on an edited component move by a
+    monotone map, so every kept chord keeps its end naming and its place in
+    the chord order; a chord none of whose ends moved is reused.  A new
+    chord whose 'b' token comes first in traversal order has its ends
+    renamed and its kind flipped, as ``from_tokens`` does, and goes to its
+    sorted place.
+    """
+    drop = set(drop)
+    removed: dict[str, set[int]] = {}
+    for label in drop:
+        for end in diagram.chord(label).endpoints:
+            removed.setdefault(end.component, set()).add(end.position)
+    added: dict[str, dict[int, Sequence[Token]]] = {}
+    for cid, gap, tokens in inserts:
+        added.setdefault(cid, {})[gap] = tokens
+
+    components = []
+    placed: dict[str, dict[str, Endpoint]] = {}
+    # edited component id -> new position of each old visit (-1: deleted)
+    moved: dict[str, list[int]] = {}
+    for comp in diagram.components:
+        cid = comp.cid
+        if cid not in removed and cid not in added:
+            components.append(comp)
+            continue
+        gone, extra = removed.get(cid, set()), added.get(cid, {})
+        visits: list[str] = []
+        where = moved[cid] = []
+        start = 0
+        for pos in sorted(gone | extra.keys()):
+            where.extend(range(len(visits), len(visits) + pos - start))
+            visits.extend(comp.visits[start:pos])
+            for label, tag in extra.get(pos, ()):
+                placed.setdefault(label, {})[tag] = Endpoint(cid, len(visits))
+                visits.append(label)
+            if pos in gone:
+                where.append(-1)
+                start = pos + 1
+            else:
+                start = pos
+        where.extend(range(len(visits), len(visits) + len(comp.visits) - start))
+        visits.extend(comp.visits[start:])
+        components.append(Component(cid, tuple(visits), comp.start, comp.end))
+
+    chords = []
+    for chord in diagram.chords:
+        if chord.label in drop:
+            continue
+        end_a, end_b = chord.end_a, chord.end_b
+        where = moved.get(end_a.component)
+        if where is not None and where[end_a.position] != end_a.position:
+            end_a = Endpoint(end_a.component, where[end_a.position])
+        where = moved.get(end_b.component)
+        if where is not None and where[end_b.position] != end_b.position:
+            end_b = Endpoint(end_b.component, where[end_b.position])
+        if end_a is not chord.end_a or end_b is not chord.end_b:
+            chord = Chord(chord.label, end_a, end_b, chord.kind)
+        chords.append(chord)
+
+    order = {comp.cid: k for k, comp in enumerate(diagram.components)}
+
+    def first_end(end: Endpoint) -> tuple[int, int]:
+        return (order[end.component], end.position)
+
+    for label, ends in placed.items():
+        end_a, end_b = ends["a"], ends["b"]
+        kind = kinds[label]  # type: ignore[index]
+        if first_end(end_b) < first_end(end_a):
+            end_a, end_b = end_b, end_a
+            kind = _flip_kind(kind)
+        chords.insert(bisect(chords, first_end(end_a), key=lambda c: first_end(c.end_a)),
+                      Chord(label, end_a, end_b, kind))
+    return TangleDiagram(diagram.top, diagram.bottom, tuple(components), tuple(chords))
 
 
 # ── Orientation ───────────────────────────────────────────────────────────

@@ -155,6 +155,7 @@ def parse(text: str) -> TangleDiagram:
     bottom = _parse_int(token.text, "bottom point count", token.span)
 
     specs: list[tuple[str, BoundaryPoint | None, BoundaryPoint | None, list]] = []
+    seen_names: set[str] = set()
     passages: dict[str, list[_Passage]] = {}
     boundary_seen: dict[tuple[Side, int], _Token] = {}
     bounds_token = header
@@ -168,8 +169,9 @@ def parse(text: str) -> TangleDiagram:
         stream.next("'component'")
         name_token = stream.next("component name")
         cid = name_token.text
-        if any(cid == spec[0] for spec in specs):
+        if cid in seen_names:
             raise ParseError(f"component {cid!r} declared twice", name_token.span)
+        seen_names.add(cid)
         kind_token = stream.next("'closed' or 'long'")
         start = end = None
         header_end = kind_token

@@ -70,7 +70,8 @@ def _kernel(diagram: TangleDiagram) -> tuple[Crossings, Links]:
         kind = chord.kind
         if not isinstance(kind, Classical):
             continue
-        over, under = chord.over_endpoint(), chord.under_endpoint()
+        over, under = ((chord.end_a, chord.end_b) if kind.over == "a"
+                       else (chord.end_b, chord.end_a))
         i, j = number[over.component], number[under.component]
         if i == j:
             weights[i][over.position] += kind.sign
@@ -124,8 +125,9 @@ def _require_classical(diagram: TangleDiagram, what: str) -> None:
 
 
 def _index_terms(n: int, crossings: Crossings, signed: bool = False,
-                 ) -> dict[Exponents, int]:
-    """Terms of sum sign * (t_i^index - 1), with |index| unless ``signed``."""
+                 ) -> dict[Exponents, Fraction]:
+    """Nonzero terms of sum sign * (t_i^index - 1), with |index| unless
+    ``signed``."""
     counts: dict[tuple[int, int], int] = {}
     for i, sign, index in crossings.values():
         key = (i, index if signed else abs(index))
@@ -138,21 +140,21 @@ def _index_terms(n: int, crossings: Crossings, signed: bool = False,
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
         terms[constant] = terms.get(constant, 0) - coeff
-    return terms
+    return {key: Fraction(coeff) for key, coeff in terms.items() if coeff}
 
 
-def _with_links(n: int, psc_terms: dict[Exponents, int], links: Links,
+def _with_links(n: int, psc_terms: dict[Exponents, Fraction], links: Links,
                 a: Fraction, b: Fraction, laurent: bool) -> LaurentPoly:
     """Self-crossing terms plus vlk(i,j) weighted by a when i < j and by b
     when i > j, on t_i t_j (plain) or t_i t_j^-1 (Laurent)."""
-    terms: dict[Exponents, Fraction | int] = dict(psc_terms)
+    terms = dict(psc_terms)
     for (i, j), count in links.items():
         exps = [0] * n
         exps[i] = 1
         exps[j] = -1 if laurent else 1
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + (a if i < j else b) * count
-    return LaurentPoly(n, terms)
+    return LaurentPoly._from_normal(n, {key: c for key, c in terms.items() if c})
 
 
 def self_crossing_polynomial(diagram: TangleDiagram) -> LaurentPoly:
@@ -163,7 +165,7 @@ def self_crossing_polynomial(diagram: TangleDiagram) -> LaurentPoly:
     _require_classical(diagram, "the self-crossing polynomial")
     n = len(diagram.components)
     crossings, _links = _kernel(diagram)
-    return LaurentPoly(n, _index_terms(n, crossings))
+    return LaurentPoly._from_normal(n, _index_terms(n, crossings))
 
 
 def virtual_linking_number(diagram: TangleDiagram, i: int, j: int) -> int:
@@ -234,7 +236,7 @@ def long_ordered_polynomial(diagram: TangleDiagram) -> LaurentPoly:
         raise InvariantError("expected exactly one long component")
     _require_classical(diagram, "the ordered polynomial")
     crossings, _links = _kernel(diagram)
-    return LaurentPoly(1, _index_terms(1, crossings, signed=True))
+    return LaurentPoly._from_normal(1, _index_terms(1, crossings, signed=True))
 
 
 # ── Report assembly ───────────────────────────────────────────────────────
@@ -277,7 +279,7 @@ def invariant_report(diagram: TangleDiagram, a: RationalLike = 1,
         tuple(vlk_matrix[i][j] - vlk_matrix[j][i] for j in range(n))
         for i in range(n))
     return InvariantReport(
-        a_frac, b_frac, LaurentPoly(n, psc_terms),
+        a_frac, b_frac, LaurentPoly._from_normal(n, psc_terms),
         _with_links(n, psc_terms, links, a_frac, b_frac, laurent=False),
         _with_links(n, psc_terms, links, a_frac, b_frac, laurent=True),
         vlk_matrix, wriggle_matrix)

@@ -65,6 +65,16 @@ class LaurentPoly:
         object.__setattr__(self, "_nvars", nvars)
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _from_normal(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "LaurentPoly":
+        """Wrap a term map already in the form ``__init__`` makes: exponent
+        tuples of ints of length ``nvars`` and nonzero Fraction coefficients.
+        The polynomial takes ownership of ``terms``."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_nvars", nvars)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 

@@ -29,6 +29,18 @@ classical move fires.  That makes the move patterns purely combinatorial:
 The random walk applies a seeded stream of legal moves, preferring removals
 once the chord count reaches the configured cap, and never changes any of
 the polynomial or linking invariants.
+
+A move costs about what it touches.  Kink and pair moves splice the new
+diagram out of the old one (``diagram._splice``): positions on the edited
+components shift and every chord whose ends did not move is reused.  The
+triangle slide still rebuilds the diagram from its tokens: its swaps can
+cross a closed component's basepoint and rename chord ends.  A removal
+site is checked on its own chords (``_is_kink``, ``_is_removable_pair``),
+with the same predicates the site finders use, and chords and components
+are looked up through the diagram's index.  The finders are generators:
+on each step the walk asks each removal kind only whether it has a site,
+and lists the sites of the kind it draws, so its random draws are those of
+listing every kind.
 """
 
 from __future__ import annotations
@@ -42,10 +54,12 @@ from .diagram import (
     Chord,
     Classical,
     Component,
+    Endpoint,
     TangleDiagram,
     TangleError,
     _kind_map,
     _rebuild,
+    _splice,
     component_tokens,
 )
 
@@ -116,11 +130,11 @@ MoveSite = KinkInsert | KinkRemove | PairInsert | PairRemove | TriangleSlide
 # ── Shared helpers ────────────────────────────────────────────────────────
 
 
-def _gaps(comp: Component) -> list[int]:
+def _gaps(comp: Component) -> range:
     v = len(comp.visits)
     if comp.is_closed:
-        return list(range(v)) if v else [0]
-    return list(range(v + 1))
+        return range(v or 1)
+    return range(v + 1)
 
 
 def _next_pos(comp: Component, pos: int) -> int | None:
@@ -137,82 +151,79 @@ def _prev_pos(comp: Component, pos: int) -> int | None:
     return pos - 1 if pos > 0 else None
 
 
-def _adjacent(comp: Component, first: int, second: int) -> bool:
-    return _next_pos(comp, first) == second
+def _follows(diagram: TangleDiagram, first: Endpoint, second: Endpoint) -> bool:
+    """Passage ``second`` comes right after ``first`` on one component."""
+    if first.component != second.component:
+        return False
+    if second.position == first.position + 1:
+        return True
+    if second.position:  # only a closed component's basepoint wraps around
+        return False
+    comp = diagram.component(first.component)
+    return comp.is_closed and first.position == len(comp.visits) - 1 > 0
+
+
+def _touching(diagram: TangleDiagram, first: Endpoint, second: Endpoint) -> bool:
+    """Two passages next to each other on one component, in either order."""
+    return _follows(diagram, first, second) or _follows(diagram, second, first)
 
 
 def _fresh_labels(diagram: TangleDiagram, count: int) -> list[str]:
-    existing = {c.label for c in diagram.chords}
     labels: list[str] = []
     candidate = 1
     while len(labels) < count:
         name = str(candidate)
-        if name not in existing:
+        if name not in diagram._chord_index:
             labels.append(name)
-            existing.add(name)
         candidate += 1
     return labels
+
+
+def _component(diagram: TangleDiagram, cid: str) -> Component:
+    try:
+        return diagram.component(cid)
+    except TangleError as exc:
+        raise MoveError(str(exc)) from exc
 
 
 # ── Kink moves ────────────────────────────────────────────────────────────
 
 
-def _kink_insert_sites(diagram: TangleDiagram) -> list[KinkInsert]:
-    sites = []
+def _kink_insert_sites(diagram: TangleDiagram) -> Iterator[KinkInsert]:
     for comp in diagram.components:
         for gap in _gaps(comp):
             for sign in (1, -1):
                 for over_end in ("a", "b"):
-                    sites.append(KinkInsert(comp.cid, gap, sign, over_end))
-    return sites
+                    yield KinkInsert(comp.cid, gap, sign, over_end)
 
 
 def _apply_kink_insert(diagram: TangleDiagram, site: KinkInsert) -> TangleDiagram:
-    try:
-        comp = diagram.component(site.component)
-    except TangleError as exc:
-        raise MoveError(str(exc)) from exc
+    comp = _component(diagram, site.component)
     if site.gap not in _gaps(comp):
         raise MoveError(f"gap {site.gap} is stale for component {site.component!r}")
     if site.sign not in (1, -1) or site.over_end not in ("a", "b"):
         raise MoveError("bad kink parameters")
     label = _fresh_labels(diagram, 1)[0]
-    tokens = component_tokens(diagram)
-    row = tokens[site.component]
-    tokens[site.component] = row[:site.gap] + [(label, "a"), (label, "b")] + row[site.gap:]
-    kinds = _kind_map(diagram)
-    kinds[label] = Classical(site.sign, site.over_end)
-    return _rebuild(diagram, tokens, kinds)
+    return _splice(diagram, inserts=[(site.component, site.gap, [(label, "a"), (label, "b")])],
+                   kinds={label: Classical(site.sign, site.over_end)})
 
 
-def _kink_remove_sites(diagram: TangleDiagram) -> list[KinkRemove]:
-    sites = []
+def _is_kink(diagram: TangleDiagram, chord: Chord) -> bool:
+    """A classical chord whose two passages are adjacent on one component."""
+    return chord.is_classical and _touching(diagram, chord.end_a, chord.end_b)
+
+
+def _kink_remove_sites(diagram: TangleDiagram) -> Iterator[KinkRemove]:
     for chord in diagram.chords:
-        if not chord.is_classical:
-            continue
-        if chord.end_a.component != chord.end_b.component:
-            continue
-        comp = diagram.component(chord.end_a.component)
-        pa, pb = chord.end_a.position, chord.end_b.position
-        if _adjacent(comp, pa, pb) or _adjacent(comp, pb, pa):
-            sites.append(KinkRemove(chord.label))
-    return sites
+        if _is_kink(diagram, chord):
+            yield KinkRemove(chord.label)
 
 
 def _apply_kink_remove(diagram: TangleDiagram, site: KinkRemove) -> TangleDiagram:
-    if site not in _kink_remove_sites(diagram):
+    chord = diagram._chord_index.get(site.label)
+    if chord is None or not _is_kink(diagram, chord):
         raise MoveError(f"chord {site.label!r} is not a removable kink")
-    return _delete_chords(diagram, {site.label})
-
-
-def _delete_chords(diagram: TangleDiagram, labels: set[str]) -> TangleDiagram:
-    tokens = component_tokens(diagram)
-    pruned = {
-        cid: [tok for tok in row if tok[0] not in labels]
-        for cid, row in tokens.items()
-    }
-    kinds = {lab: kind for lab, kind in _kind_map(diagram).items() if lab not in labels}
-    return _rebuild(diagram, pruned, kinds)
+    return _splice(diagram, drop=[site.label])
 
 
 # ── Pair moves ────────────────────────────────────────────────────────────
@@ -222,17 +233,15 @@ def _all_gaps(diagram: TangleDiagram) -> list[Gap]:
     return [(comp.cid, gap) for comp in diagram.components for gap in _gaps(comp)]
 
 
-def _pair_insert_sites(diagram: TangleDiagram) -> list[PairInsert]:
+def _pair_insert_sites(diagram: TangleDiagram) -> Iterator[PairInsert]:
     gaps = _all_gaps(diagram)
-    sites = []
     for over_gap in gaps:
         for under_gap in gaps:
             if over_gap == under_gap:
                 continue
             for lead_sign in (1, -1):
                 for antiparallel in (False, True):
-                    sites.append(PairInsert(over_gap, under_gap, lead_sign, antiparallel))
-    return sites
+                    yield PairInsert(over_gap, under_gap, lead_sign, antiparallel)
 
 
 def _apply_pair_insert(diagram: TangleDiagram, site: PairInsert) -> TangleDiagram:
@@ -240,40 +249,26 @@ def _apply_pair_insert(diagram: TangleDiagram, site: PairInsert) -> TangleDiagra
         raise MoveError("over and under gaps must differ")
     if site.lead_sign not in (1, -1):
         raise MoveError("bad pair parameters")
-    tokens = component_tokens(diagram)
     for cid, gap in (site.over_gap, site.under_gap):
-        try:
-            comp = diagram.component(cid)
-        except TangleError as exc:
-            raise MoveError(str(exc)) from exc
-        if gap not in _gaps(comp):
+        if gap not in _gaps(_component(diagram, cid)):
             raise MoveError(f"gap {gap} is stale for component {cid!r}")
     first, second = _fresh_labels(diagram, 2)
-    over_pair = [(first, "a"), (second, "a")]
     under_pair = [(first, "b"), (second, "b")]
     if site.antiparallel:
         under_pair.reverse()
-
-    inserts = [(site.over_gap, over_pair), (site.under_gap, under_pair)]
-    # same component: apply the higher insertion index first so the lower
-    # one is not displaced
-    inserts.sort(key=lambda item: (item[0][0], -item[0][1]))
-    for (cid, gap), pair in inserts:
-        row = tokens[cid]
-        tokens[cid] = row[:gap] + pair + row[gap:]
-
-    kinds = _kind_map(diagram)
-    kinds[first] = Classical(site.lead_sign, "a")
-    kinds[second] = Classical(-site.lead_sign, "a")
-    return _rebuild(diagram, tokens, kinds)
+    return _splice(diagram, inserts=[(*site.over_gap, [(first, "a"), (second, "a")]),
+                                     (*site.under_gap, under_pair)],
+                   kinds={first: Classical(site.lead_sign, "a"),
+                          second: Classical(-site.lead_sign, "a")})
 
 
-def _over_passages(diagram: TangleDiagram) -> dict[tuple[str, int], Chord]:
+def _over_passages(diagram: TangleDiagram, sign: int | None = None,
+                   ) -> dict[tuple[str, int], Chord]:
     """The classical chord whose over passage sits at each (component id,
-    position)."""
+    position); with ``sign``, only chords of that sign."""
     over_at = {}
     for chord in diagram.chords:
-        if chord.is_classical:
+        if isinstance(chord.kind, Classical) and sign in (None, chord.kind.sign):
             end = chord.over_endpoint()
             over_at[end.component, end.position] = chord
     return over_at
@@ -281,38 +276,46 @@ def _over_passages(diagram: TangleDiagram) -> dict[tuple[str, int], Chord]:
 
 def _over_pairs(diagram: TangleDiagram, over_at: dict[tuple[str, int], Chord],
                 ) -> Iterator[tuple[Chord, Chord]]:
-    """Pairs (first, second) of classical chords whose over passages are
-    adjacent on one component, second right after first."""
+    """Pairs (first, second) of chords in ``over_at`` whose over passages
+    are adjacent on one component, second right after first, in the order
+    of first's position (a closed component's wrap-around pair last)."""
     for comp in diagram.components:
-        for pos in range(len(comp.visits)):
-            first = over_at.get((comp.cid, pos))
-            nxt = _next_pos(comp, pos)
-            if first is not None and nxt is not None:
-                second = over_at.get((comp.cid, nxt))
-                if second is not None:
-                    yield first, second
+        cid, size = comp.cid, len(comp.visits)
+        head = previous = over_at.get((cid, 0))
+        for pos in range(1, size):
+            current = over_at.get((cid, pos))
+            if previous is not None and current is not None:
+                yield previous, current
+            previous = current
+        if comp.is_closed and size > 1 and previous is not None and head is not None:
+            yield previous, head
 
 
-def _pair_remove_sites(diagram: TangleDiagram) -> list[PairRemove]:
-    sites = []
+def _is_removable_pair(diagram: TangleDiagram, first: Chord, second: Chord) -> bool:
+    """Classical chords of opposite signs whose over passages are adjacent,
+    second's right after first's, and whose under passages are adjacent on
+    one component, in either order."""
+    if not (isinstance(first.kind, Classical) and isinstance(second.kind, Classical)):
+        return False
+    if first.kind.sign + second.kind.sign != 0:
+        return False
+    return (_follows(diagram, first.over_endpoint(), second.over_endpoint())
+            and _touching(diagram, first.under_endpoint(), second.under_endpoint()))
+
+
+def _pair_remove_sites(diagram: TangleDiagram) -> Iterator[PairRemove]:
     for c1, c2 in _over_pairs(diagram, _over_passages(diagram)):
-        if c1.kind.sign + c2.kind.sign != 0:  # type: ignore[union-attr]
-            continue
-        u1, u2 = c1.under_endpoint(), c2.under_endpoint()
-        if u1.component != u2.component:
-            continue
-        under_comp = diagram.component(u1.component)
-        if (_adjacent(under_comp, u1.position, u2.position)
-                or _adjacent(under_comp, u2.position, u1.position)):
-            sites.append(PairRemove(c1.label, c2.label))
-    return sites
+        if _is_removable_pair(diagram, c1, c2):
+            yield PairRemove(c1.label, c2.label)
 
 
 def _apply_pair_remove(diagram: TangleDiagram, site: PairRemove) -> TangleDiagram:
-    if site not in _pair_remove_sites(diagram):
+    first = diagram._chord_index.get(site.first)
+    second = diagram._chord_index.get(site.second)
+    if first is None or second is None or not _is_removable_pair(diagram, first, second):
         raise MoveError(f"chords {site.first!r}, {site.second!r} do not form a "
                         "removable pair")
-    return _delete_chords(diagram, {site.first, site.second})
+    return _splice(diagram, drop=[site.first, site.second])
 
 
 # ── Triangle move ─────────────────────────────────────────────────────────
@@ -364,9 +367,9 @@ def _triangle_pairs(diagram: TangleDiagram, site: TriangleSlide,
     return pairs  # type: ignore[return-value]
 
 
-def _triangle_sites(diagram: TangleDiagram) -> list[TriangleSlide]:
-    over_at = _over_passages(diagram)
-    sites = []
+def _triangle_sites(diagram: TangleDiagram) -> Iterator[TriangleSlide]:
+    # all three chords of a triangle are positive
+    over_at = _over_passages(diagram, sign=1)
     for c1, c2 in _over_pairs(diagram, over_at):
         # forward: this is the over pair (x, y); z is the chord whose over
         # passage follows x's under passage in the direction of the slide
@@ -379,8 +382,7 @@ def _triangle_sites(diagram: TangleDiagram) -> list[TriangleSlide]:
                 continue
             candidate = TriangleSlide(x.label, y.label, z.label, forward)
             if _triangle_pairs(diagram, candidate) is not None:
-                sites.append(candidate)
-    return sites
+                yield candidate
 
 
 def _apply_triangle(diagram: TangleDiagram, site: TriangleSlide) -> TangleDiagram:
@@ -419,7 +421,7 @@ def enumerate_sites(diagram: TangleDiagram, kind: MoveKind) -> list[MoveSite]:
     finder = _SITE_FINDERS.get(kind)
     if finder is None:
         raise MoveError(f"unknown move kind {kind!r}")
-    return finder(diagram)
+    return list(finder(diagram))
 
 
 def apply(diagram: TangleDiagram, site: MoveSite) -> TangleDiagram:
@@ -457,22 +459,23 @@ def random_walk(diagram: TangleDiagram, steps: int, seed: int,
     current = diagram
     for _ in range(steps):
         gaps = _all_gaps(current)
-        choices: list[tuple[MoveKind, object]] = []
+        choices: list[MoveKind] = []
         chord_count = len(current.chords)
         if gaps and chord_count + 1 <= cap:
-            choices.append((MoveKind.KINK_INSERT, None))
+            choices.append(MoveKind.KINK_INSERT)
         if len(gaps) >= 2 and chord_count + 2 <= cap:
-            choices.append((MoveKind.PAIR_INSERT, None))
+            choices.append(MoveKind.PAIR_INSERT)
+        # a removal kind is a choice when it has a site; only the drawn
+        # kind's sites are listed
         for kind in (MoveKind.KINK_REMOVE, MoveKind.PAIR_REMOVE,
                      MoveKind.TRIANGLE_SLIDE):
-            sites = enumerate_sites(current, kind)
-            if sites:
-                choices.append((kind, sites))
+            if next(_SITE_FINDERS[kind](current), None) is not None:
+                choices.append(kind)
         if not choices:
             trail.append(current)
             continue
-        weights = [_WALK_WEIGHTS[kind] for kind, _ in choices]
-        kind, sites = rng.choices(choices, weights=weights, k=1)[0]
+        weights = [_WALK_WEIGHTS[kind] for kind in choices]
+        kind = rng.choices(choices, weights=weights, k=1)[0]
         if kind is MoveKind.KINK_INSERT:
             cid, gap = gaps[rng.randrange(len(gaps))]
             site: MoveSite = KinkInsert(cid, gap, rng.choice((1, -1)),
@@ -482,7 +485,8 @@ def random_walk(diagram: TangleDiagram, steps: int, seed: int,
             site = PairInsert(gaps[first], gaps[second], rng.choice((1, -1)),
                               rng.choice((False, True)))
         else:
-            site = sites[rng.randrange(len(sites))]  # type: ignore[arg-type]
+            sites = enumerate_sites(current, kind)
+            site = sites[rng.randrange(len(sites))]
         current = apply(current, site)
         trail.append(current)
     return trail

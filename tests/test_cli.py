@@ -226,6 +226,30 @@ def test_fuzz_negative_cap(capsys, clasp_file):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("flag, bound", [("--steps", "MAX_FUZZ_STEPS"),
+                                         ("--trials", "MAX_FUZZ_TRIALS"),
+                                         ("--cap", "MAX_FUZZ_CAP")])
+def test_fuzz_upper_bounds(capsys, clasp_file, monkeypatch, flag, bound):
+    import tanglepoly.cli as cli
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(cli, "random_walk", no_walk)
+    monkeypatch.setattr(cli, "invariant_report", no_walk)
+    limit = getattr(cli, bound)
+    code, out, err = run(capsys, "fuzz", "-i", clasp_file, flag, str(limit + 1))
+    assert code == 2
+    assert out == ""
+    assert f"{flag} of at most {limit}" in err
+    # the bound itself is accepted; a stub walk keeps the run small
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "random_walk",
+                        lambda diagram, steps, seed, cap: [diagram] * (steps + 1))
+    code, _, _ = run(capsys, "fuzz", "-i", clasp_file, flag, str(limit))
+    assert code == 0
+
+
 def test_fuzz_rejects_singular(capsys, singular_file):
     code, _, err = run(capsys, "fuzz", "-i", singular_file, "--steps", "1",
                        "--trials", "1")

@@ -186,6 +186,25 @@ def test_endpoint_count_property():
         assert total_visits == 2 * len(d.chords)
 
 
+def test_lookups_keep_the_first_match():
+    # a malformed diagram with a repeated label and component id, built
+    # without validation: lookups return the first, as a scan would
+    end = Endpoint("K", 0)
+    first = Chord("1", end, Endpoint("K", 1), Classical(1, "a"))
+    second = Chord("1", Endpoint("K", 2), Endpoint("K", 3), Classical(-1, "b"))
+    comps = (Component("K", ("1", "1", "1", "1")), Component("K", ()))
+    d = TangleDiagram(0, 0, comps, (first, second))
+    assert d.chord("1") is first
+    assert d.component("K") is comps[0]
+    with pytest.raises(DiagramError, match="unknown chord '2'"):
+        d.chord("2")
+    with pytest.raises(DiagramError, match="unknown component 'L'"):
+        d.component("L")
+    # the index is not part of the value
+    assert d == TangleDiagram(0, 0, comps, (first, second))
+    assert repr(d) == repr(TangleDiagram(0, 0, comps, (first, second)))
+
+
 def test_from_tokens_rejects_incomplete_chords():
     with pytest.raises(DiagramError):
         from_tokens(0, 0, [("K", None, None, [("1", "a")])], {"1": Classical(1, "a")})

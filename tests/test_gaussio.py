@@ -82,6 +82,18 @@ def test_boundary_reuse_and_range():
         "used twice")
 
 
+def test_component_declared_twice():
+    err = expect_error("tangle 0 0\ncomponent K closed\ncomponent L closed\n"
+                       "component K closed\n", "component 'K' declared twice")
+    assert err.message == "component 'K' declared twice"
+    assert (err.span.line, err.span.col_start, err.span.col_end) == (4, 11, 11)
+    # the first repeat is the one reported, after many distinct names
+    names = "".join(f"component c{i} closed\n" for i in range(3000))
+    err = expect_error("tangle 0 0\n" + names + "component c7 closed\ncomponent c9 closed\n",
+                       "component 'c7' declared twice")
+    assert err.span.line == 3002
+
+
 def test_boundary_unused():
     expect_error("tangle 2 2\ncomponent A long T1:in B1:out\n", "not used")
 

@@ -361,13 +361,26 @@ def test_vlk_matches_pairwise_count():
             assert [list(row) for row in invariant_report(d).vlk] == want
 
 
+def _assert_normal(poly):
+    """The form LaurentPoly's constructor gives: int exponent tuples of the
+    right length and nonzero Fraction coefficients."""
+    for exps, coeff in poly.items():
+        assert type(exps) is tuple and len(exps) == poly.nvars
+        assert all(type(e) is int for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+
+
 @pytest.mark.parametrize("a,b", [(1, 1), (Fraction(2, 3), -5)])
 def test_report_matches_oracle(a, b):
     for d in _oracle_diagrams(107):
         if d.has_singular():
             continue
         want = slow_report(d, a, b)
-        assert invariant_report(d, a, b) == want
+        report = invariant_report(d, a, b)
+        assert report == want
+        for got in (report.psc, report.plk, report.plk_laurent,
+                    self_crossing_polynomial(d), linking_polynomial(d, a, b)):
+            _assert_normal(got)
         assert self_crossing_polynomial(d) == want.psc
         assert linking_polynomial(d, a, b) == want.plk
         assert laurent_linking_polynomial(d, a, b) == want.plk_laurent
@@ -378,3 +391,4 @@ def test_long_ordered_matches_oracle():
     for _ in range(60):
         d = random_string_link(rng, 1, max_chords=14)
         assert long_ordered_polynomial(d) == slow_long_ordered(d)
+        _assert_normal(long_ordered_polynomial(d))
