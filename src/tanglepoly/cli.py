@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-# parse validates; validate stays bound in this module: bench/spans.py wraps it here.
+# parse checks every input; validate stays bound in this module for bench/spans.py.
 from .diagram import TangleDiagram, validate  # noqa: F401
 from .gaussio import ParseError, parse, serialize
 from .invariants import (

@@ -13,8 +13,11 @@ Grammar (whitespace-separated tokens, ``#`` starts a comment to end of line):
 Component file order defines the variable order t1..tn.  Every label appears
 exactly twice; a classical label once as O and once as U, a singular label
 twice as S.  The sign character is repeated at both passages and must match;
-for singular chords it is the frame with end_a taken as the first passage in
-file order.
+for singular chords it is the frame.  File order is traversal order, so the
+parser builds each chord straight from its two passages, the first being
+end_a, in the order the labels first appear.  Every check raises ParseError
+with a source span; a text that passes them all is a diagram ``validate``
+accepts, so it is not run again.
 
 The serializer emits exactly this grammar, with chord labels as stored and
 closed components written from their stored basepoint, so parse(serialize(d))
@@ -28,17 +31,21 @@ from dataclasses import dataclass
 
 from .diagram import (
     BoundaryPoint,
+    Chord,
     ChordKind,
     Classical,
+    Component,
     Direction,
+    Endpoint,
     Side,
     Singular,
     TangleDiagram,
     TangleError,
     component_tokens,
-    from_tokens,
-    validate,
 )
+# Unused here, but bench/spans.py wraps from_tokens and validate in this
+# module, so they stay bound.
+from .diagram import from_tokens, validate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -68,9 +75,9 @@ _VISIT_RE = re.compile(r"^([OUS])(.+)([+-])$")
 _BPOINT_RE = re.compile(r"^([TB])([0-9]+):(in|out)$")
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(lines: list[str]) -> list[_Token]:
     tokens: list[_Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         comment = line.find("#")
         if comment >= 0:
             line = line[:comment]
@@ -88,10 +95,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Stream:
-    def __init__(self, tokens: list[_Token], text: str):
-        self._tokens = tokens
-        self._pos = 0
+    def __init__(self, text: str):
         lines = text.splitlines() or [""]
+        self._tokens = _tokenize(lines)
+        self._pos = 0
         self._eof = SourceSpan(len(lines), max(len(lines[-1]), 1), max(len(lines[-1]), 1))
 
     def peek(self) -> _Token | None:
@@ -132,19 +139,18 @@ def _parse_bpoint(token: _Token) -> tuple[BoundaryPoint, _Token]:
 class _Passage:
     role: str  # "O" | "U" | "S"
     sign: int
-    cid: str
-    position: int
+    end: Endpoint
     span: SourceSpan
 
 
 def parse(text: str) -> TangleDiagram:
-    """Parse the format above into a validated diagram.
+    """Parse the format above into a well-formed diagram.
 
     Raises ParseError carrying the SourceSpan of the offending token on the
     first problem found: lexical errors, label arity violations, O/U or sign
     mismatches, boundary misuse, or long-component direction violations.
     """
-    stream = _Stream(_tokenize(text), text)
+    stream = _Stream(text)
 
     header = stream.next("'tangle'")
     if header.text != "tangle":
@@ -154,11 +160,10 @@ def parse(text: str) -> TangleDiagram:
     token = stream.next("bottom point count")
     bottom = _parse_int(token.text, "bottom point count", token.span)
 
-    specs: list[tuple[str, BoundaryPoint | None, BoundaryPoint | None, list]] = []
+    components: list[Component] = []
     seen_names: set[str] = set()
     passages: dict[str, list[_Passage]] = {}
     boundary_seen: dict[tuple[Side, int], _Token] = {}
-    bounds_token = header
 
     while True:
         token = stream.peek()
@@ -205,7 +210,7 @@ def parse(text: str) -> TangleDiagram:
         if follower is not None and follower.span.line == header_end.span.line:
             raise ParseError("expected end of line after component header", follower.span)
 
-        visit_rows: list[_Passage] = []
+        visits: list[str] = []
         while True:
             token = stream.peek()
             if token is None or token.text == "component":
@@ -216,20 +221,19 @@ def parse(text: str) -> TangleDiagram:
                 raise ParseError(f"bad visit token {token.text!r}", token.span)
             role, label, sign_char = match.groups()
             sign = 1 if sign_char == "+" else -1
-            passage = _Passage(role, sign, cid, len(visit_rows), token.span)
-            visit_rows.append(passage)
-            passages.setdefault(label, []).append(passage)
-        specs.append((cid, start, end, visit_rows))
+            passages.setdefault(label, []).append(
+                _Passage(role, sign, Endpoint(cid, len(visits)), token.span))
+            visits.append(label)
+        components.append(Component(cid, tuple(visits), start, end))
 
     for side, limit in ((Side.TOP, top), (Side.BOTTOM, bottom)):
         for index in range(1, limit + 1):
             if (side, index) not in boundary_seen:
                 raise ParseError(
                     f"boundary point {side.value}{index} is not used by any component",
-                    bounds_token.span)
+                    header.span)
 
-    kinds: dict[str, ChordKind] = {}
-    token_rows: dict[str, list] = {cid: [None] * len(rows) for cid, _s, _e, rows in specs}
+    chords: list[Chord] = []
     for label, uses in passages.items():
         if len(uses) == 1:
             raise ParseError(f"dangling chord {label!r}: label appears only once",
@@ -245,23 +249,14 @@ def parse(text: str) -> TangleDiagram:
             if roles != ("S", "S"):
                 raise ParseError(
                     f"chord {label!r} mixes singular and classical passages", second.span)
-            kinds[label] = Singular(first.sign)
+            kind: ChordKind = Singular(first.sign)
         elif set(roles) != {"O", "U"}:
             raise ParseError(
                 f"chord {label!r} must appear once as O and once as U", second.span)
         else:
-            kinds[label] = Classical(first.sign, "a" if first.role == "O" else "b")
-        token_rows[first.cid][first.position] = (label, "a")
-        token_rows[second.cid][second.position] = (label, "b")
-
-    assembled = [
-        (cid, start, end, token_rows[cid]) for cid, start, end, _rows in specs
-    ]
-    diagram = from_tokens(top, bottom, assembled, kinds)
-    problems = validate(diagram)
-    if problems:
-        raise ParseError(problems[0].message, bounds_token.span)
-    return diagram
+            kind = Classical(first.sign, "a" if first.role == "O" else "b")
+        chords.append(Chord(label, first.end, second.end, kind))
+    return TangleDiagram(top, bottom, tuple(components), tuple(chords))
 
 
 def serialize(diagram: TangleDiagram) -> str:

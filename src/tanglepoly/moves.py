@@ -457,7 +457,7 @@ def random_walk(diagram: TangleDiagram, steps: int, seed: int,
     rng = random.Random(seed)
     trail = [diagram]
     current = diagram
-    for _ in range(steps):
+    for step in range(steps):
         gaps = _all_gaps(current)
         choices: list[MoveKind] = []
         chord_count = len(current.chords)
@@ -472,8 +472,9 @@ def random_walk(diagram: TangleDiagram, steps: int, seed: int,
             if next(_SITE_FINDERS[kind](current), None) is not None:
                 choices.append(kind)
         if not choices:
-            trail.append(current)
-            continue
+            # nothing changed and nothing was drawn: every later step repeats
+            trail.extend([current] * (steps - step))
+            break
         weights = [_WALK_WEIGHTS[kind] for kind in choices]
         kind = rng.choices(choices, weights=weights, k=1)[0]
         if kind is MoveKind.KINK_INSERT:

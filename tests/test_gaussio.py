@@ -1,6 +1,8 @@
-"""Format: parser errors with spans, serializer round trips, totality."""
+"""Format: parser errors with spans, serializer round trips, totality, and
+a differential test against the old parser."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,15 +13,18 @@ from tanglepoly import (
     link_with_linking_numbers,
     parse,
     serialize,
+    validate,
     virtual_linking_number,
 )
 from helpers import (
     CLASP_TEXT,
+    _random_boundary,
     clasp,
     random_diagram,
     singular_virtual_trefoil,
     virtual_trefoil,
 )
+from parse_oracle import parse as oracle_parse
 
 
 def test_parse_clasp_structure():
@@ -148,10 +153,30 @@ def test_round_trip_random_diagrams():
         assert equal_diagrams(parse(serialize(d)), d)
 
 
+def same_as_oracle(text):
+    """Parse with both parsers: they must give equal diagrams, or raise a
+    ParseError with the same message and span.  Returns the diagram, or
+    None on an error."""
+    try:
+        expected = oracle_parse(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.message, info.value.span) == (err.message, err.span), text
+        return None
+    diagram = parse(text)
+    assert diagram == expected and repr(diagram) == repr(expected), text
+    # parse does not run validate on what it builds; this runs it on every
+    # text that parses
+    assert validate(diagram) == [], text
+    return diagram
+
+
 @given(st.text(max_size=80))
 @settings(max_examples=300)
 def test_parse_is_total(text):
-    # any input either parses or raises ParseError with an in-bounds span
+    # any input either parses or raises ParseError with an in-bounds span,
+    # and the old parser does the same
     try:
         parse(text)
     except ParseError as err:
@@ -159,9 +184,155 @@ def test_parse_is_total(text):
         assert 1 <= err.span.line <= max(len(lines), 1)
         assert err.span.col_start >= 1
         assert err.span.col_end >= err.span.col_start
+    same_as_oracle(text)
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
 def test_parse_serialize_identity_on_generator(a, b):
     d = link_with_linking_numbers(a, b)
     assert parse(serialize(d)) == d
+
+
+# ── Differential test against tests/parse_oracle.py ──────────────────────
+
+_NAME_CHARS = "abKLxyz019_'.:+-OUS\u00e9"
+_GAPS = (" ", " ", " ", "  ", "\t", "\u00a0", "\u3000")
+
+
+def _name(rng: random.Random) -> str:
+    return "".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(1, 4)))
+
+
+def _valid_text(rng: random.Random, max_chords: int = 60) -> str:
+    """A random valid file: 1-6 components, some long, up to ``max_chords``
+    chords, some singular, with random distinct names, comments, odd
+    spacing and visit rows split over several lines."""
+    n_comp = rng.randint(1, 6)
+    n_long = rng.randint(0, n_comp)
+    tops, bottoms = _random_boundary(rng, n_long)
+    ends: list[dict[str, str]] = [{} for _ in range(n_long)]
+    for side, points in (("T", tops), ("B", bottoms)):
+        for number, (idx, which) in enumerate(points, start=1):
+            ends[idx][which] = f"{side}{number}:{'in' if which == 'start' else 'out'}"
+
+    rows: list[list[str]] = [[] for _ in range(n_comp)]
+    labels: set[str] = set()
+    for _ in range(rng.randint(0, max_chords)):
+        label = _name(rng)
+        while label in labels:
+            label += rng.choice(_NAME_CHARS)
+        labels.add(label)
+        sign = rng.choice("+-")
+        roles = ("S", "S") if rng.random() < 0.15 else rng.choice((("O", "U"), ("U", "O")))
+        for role in roles:
+            rows[rng.randrange(n_comp)].append(f"{role}{label}{sign}")
+    for row in rows:
+        rng.shuffle(row)
+
+    names: list[str] = []
+    while len(names) < n_comp:
+        name = _name(rng)
+        if name not in names:
+            names.append(name)
+    out = [f"tangle{rng.choice(_GAPS)}{len(tops)} {len(bottoms)}"]
+    if rng.random() < 0.3:
+        out[0] += "  # " + _name(rng)
+    for idx, (name, row) in enumerate(zip(names, rows)):
+        kind = f"long {ends[idx]['start']} {ends[idx]['end']}" if idx < n_long else "closed"
+        out.append(f"{rng.choice(('', ' '))}component {name}{rng.choice(_GAPS)}{kind}")
+        line: list[str] = []
+        for token in row:
+            line.append(token)
+            if rng.random() < 0.1:
+                out.append(rng.choice(_GAPS).join(line))
+                line = []
+        out.append(rng.choice(_GAPS).join(line))
+        if rng.random() < 0.2:
+            out.append("# " + _name(rng))
+    return "\n".join(out) + rng.choice(("\n", "", "\n\n"))
+
+
+def test_parse_matches_oracle_on_valid_texts():
+    rng = random.Random(7)
+    long_seen = singular_seen = closed_seen = 0
+    for _ in range(2000):
+        diagram = same_as_oracle(_valid_text(rng))
+        assert diagram is not None
+        long_seen += any(comp.is_long for comp in diagram.components)
+        closed_seen += any(comp.is_closed for comp in diagram.components)
+        singular_seen += diagram.has_singular()
+    assert min(long_seen, closed_seen, singular_seen) >= 500
+
+
+_TOKEN_RE = re.compile(r"\S+")
+_LINE_BREAKS = ("\r\n", "\r", "\x0c", " ", "\x0b", "\x1c", "\x85", "\u2028")
+_UNICODE_SPACES = ("\u00a0", "\u2003", "\u3000", "\x1f")
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One random edit of the kinds a hand-written file might carry."""
+    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
+    start, end = rng.choice(spans)
+    visits = [(s, e) for s, e in spans if text[s] in "OUS" and text[e - 1] in "+-"]
+    s, e = rng.choice(visits or spans)
+    how = rng.choice(("drop", "duplicate", "swap", "overwrite", "role", "sign", "label",
+                      "header", "comment", "line breaks", "spaces"))
+    if how == "drop":
+        return text[:start] + text[end:]
+    if how == "duplicate":
+        return text[:end] + " " + text[start:end] + text[end:]
+    if how == "swap":
+        (s1, e1), (s2, e2) = sorted(rng.sample(spans, 2)) if len(spans) > 1 else (spans[0],) * 2
+        return text[:s1] + text[s2:e2] + text[e1:s2] + text[s1:e1] + text[e2:]
+    if how == "overwrite":      # with a copy of another token, often a similar one
+        alike = [(s2, e2) for s2, e2 in spans if text[s2] == text[start]]
+        s2, e2 = rng.choice(rng.choice((alike, spans)))
+        return text[:start] + text[s2:e2] + text[end:]
+    if how == "role":           # O <-> U, or a singular passage made classical
+        return text[:s] + {"O": "U", "U": "O", "S": "O"}.get(text[s], "S") + text[s + 1:]
+    if how == "sign":
+        return text[:e - 1] + {"+": "-", "-": "+"}.get(text[e - 1], "+") + text[e:]
+    if how == "label":          # to another visit's label or a fresh one
+        s2, e2 = rng.choice(visits or spans)
+        label = rng.choice((text[s2 + 1:e2 - 1], _name(rng)))
+        return text[:s + 1] + label + text[e - 1:]
+    if how == "header":
+        s2, e2 = spans[rng.randrange(min(3, len(spans)))]
+        bad = rng.choice(("knot", "tangle", "x", "0", "1234567890", "\u0663", "-1"))
+        return text[:s2] + bad + text[e2:]
+    if how == "comment":
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + "#" + text[at:]
+    if how == "line breaks":
+        return text.replace("\n", rng.choice(_LINE_BREAKS))
+    return "".join(rng.choice(_UNICODE_SPACES) if ch == " " and rng.random() < 0.5 else ch
+                   for ch in text)
+
+
+# one fragment of each ParseError message the parser can raise
+_CHECKS = (
+    "expected 'tangle'", "expected top point count", "expected bottom point count",
+    "more than 9 digits", "unexpected end of input", "expected 'component'",
+    "declared twice", "expected 'closed' or 'long'", "bad boundary point",
+    "must start at an 'in' point", "must end at an 'out' point", "out of range",
+    "used twice", "expected end of line", "bad visit token", "not used by any component",
+    "dangling chord", "appears more than twice", "sign mismatch", "mixes singular",
+    "once as O and once as U",
+)
+
+
+def test_parse_matches_oracle_on_mutated_texts():
+    rng = random.Random(11)
+    outcomes = {"parsed": 0, "error": 0}
+    fired: set[str] = set()
+    for _ in range(2000):
+        text = _valid_text(rng, max_chords=20)
+        for _ in range(rng.randint(1, 2)):
+            text = _mutate(rng, text)
+        try:
+            oracle_parse(text)
+        except ParseError as err:
+            fired.update(check for check in _CHECKS if check in err.message)
+        outcomes["parsed" if same_as_oracle(text) is not None else "error"] += 1
+    assert min(outcomes.values()) >= 300
+    assert fired == set(_CHECKS), set(_CHECKS) - fired

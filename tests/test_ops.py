@@ -6,6 +6,7 @@ import pytest
 
 from tanglepoly import (
     GlueError,
+    InvariantError,
     Side,
     check_additivity,
     closure,
@@ -233,3 +234,33 @@ def test_additivity_with_closed_passenger():
     glue = connect(upper, lower)
     checks = check_additivity(upper, lower, glue, 2, 3)
     assert all(checks.values()), checks
+
+
+def test_additivity_runs_one_kernel_pass_per_diagram(monkeypatch):
+    from tanglepoly import invariants
+
+    calls = []
+    kernel = invariants._kernel
+
+    def spy(diagram):
+        calls.append(diagram)
+        return kernel(diagram)
+
+    monkeypatch.setattr(invariants, "_kernel", spy)
+    upper, lower = clasp(), random_string_link(random.Random(5), 2, max_chords=6)
+    glue = connect(upper, lower)
+    for a, b in ((1, 1), (2, -3)):
+        calls.clear()
+        checks = check_additivity(upper, lower, glue, a, b)
+        assert all(checks.values()), checks
+        assert calls == [glue.diagram, upper, lower]
+
+
+def test_additivity_refuses_singular_input():
+    upper = parse("tangle 2 2\ncomponent A long T1:in B1:out\nS1+ U2+\n"
+                  "component B long T2:in B2:out\nS1+ O2+\n")
+    glue = connect(upper, clasp())
+    with pytest.raises(InvariantError) as info:
+        check_additivity(upper, clasp(), glue, 1, 1)
+    assert str(info.value) == ("the self-crossing polynomial is undefined on diagrams "
+                               "with singular chords (found '1'); resolve them first")

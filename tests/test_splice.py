@@ -73,6 +73,40 @@ def test_walks_match_rebuild_oracle(monkeypatch):
                           "TriangleSlide"}, kinds
 
 
+# the virtual trefoil has no removal site; with the kinks on it removed, a
+# walk at cap 0 has no legal move left
+DEAD_END_STARTS = ["tangle 0 0\ncomponent K closed\nO1+ O2+ U1+ U2+\n",
+                   "tangle 0 0\ncomponent K closed\nO1+ O2+ Ok+ Uk+ U1+ U2+ Uj- Oj-\n"]
+
+
+@pytest.mark.parametrize("text", DEAD_END_STARTS)
+def test_walk_after_a_dead_step_matches_rebuild_oracle(text):
+    start = parse(text)
+    for seed in range(4):
+        trail = random_walk(start, 50, seed=seed, cap=0)
+        want, sites = walk_by_rebuild(start, 50, seed, 0)
+        assert trail == want and [repr(d) for d in trail] == [repr(d) for d in want]
+        # the repeats are the same object, as fuzz counts moves by identity
+        assert ([trail[k] is trail[k - 1] for k in range(1, len(trail))]
+                == [site is None for site in sites])
+        assert sites[-1] is None
+
+
+def test_walk_stops_scanning_after_a_dead_step(monkeypatch):
+    calls = []
+    all_gaps = moves._all_gaps
+
+    def spy(diagram):
+        calls.append(diagram)
+        return all_gaps(diagram)
+
+    monkeypatch.setattr(moves, "_all_gaps", spy)
+    start = virtual_trefoil()
+    trail = random_walk(start, 1000, seed=0, cap=0)
+    assert len(trail) == 1001 and all(step is start for step in trail)
+    assert len(calls) == 1
+
+
 def _same_as_oracle(diagram, site):
     moved = apply(diagram, site)
     assert validate(moved) == []
