@@ -19,6 +19,14 @@ end_a, in the order the labels first appear.  Every check raises ParseError
 with a source span; a text that passes them all is a diagram ``validate``
 accepts, so it is not run again.
 
+The tokenizer cuts each line at ``#`` and splits the rest with
+``str.split()``, keeping one flat list of tokens and the line number of
+each.  A valid parse builds no span: a ParseError finds its token's columns
+by scanning that one line again.  A file may hold at most MAX_CHORDS chord
+labels (``tanglepoly gen`` builds no more, so its output always parses back)
+and no token longer than MAX_TOKEN_CHARS characters; either excess is a
+ParseError at the offending token.
+
 The serializer emits exactly this grammar, with chord labels as stored and
 closed components written from their stored basepoint, so parse(serialize(d))
 reproduces d up to closed-component rotation.
@@ -27,7 +35,9 @@ reproduces d up to closed-component rotation.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .diagram import (
     BoundaryPoint,
@@ -47,6 +57,9 @@ from .diagram import (
 # module, so they stay bound.
 from .diagram import from_tokens, validate  # noqa: F401
 
+MAX_CHORDS = 1_000_000
+MAX_TOKEN_CHARS = 1_000
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -65,51 +78,52 @@ class ParseError(TangleError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    span: SourceSpan
-
-
-_VISIT_RE = re.compile(r"^([OUS])(.+)([+-])$")
+# str.split(), str.isspace and \s agree on what whitespace is.
+_TOKEN_RE = re.compile(r"\S+")
 _BPOINT_RE = re.compile(r"^([TB])([0-9]+):(in|out)$")
 
 
-def _tokenize(lines: list[str]) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(lines, start=1):
-        comment = line.find("#")
-        if comment >= 0:
-            line = line[:comment]
-        col = 0
-        length = len(line)
-        while col < length:
-            if line[col].isspace():
-                col += 1
-                continue
-            start = col
-            while col < length and not line[col].isspace():
-                col += 1
-            tokens.append(_Token(line[start:col], SourceSpan(lineno, start + 1, col)))
-    return tokens
+def _code(line: str) -> str:
+    comment = line.find("#")
+    return line if comment < 0 else line[:comment]
 
 
-class _Stream:
+class _Tokens:
+    """Every token of a text in order, with the line it is on, and a cursor."""
+
     def __init__(self, text: str):
-        lines = text.splitlines() or [""]
-        self._tokens = _tokenize(lines)
-        self._pos = 0
-        self._eof = SourceSpan(len(lines), max(len(lines[-1]), 1), max(len(lines[-1]), 1))
+        self.lines = text.splitlines() or [""]
+        self.words: list[str] = []
+        self.line_of: list[int] = []
+        self.pos = 0
+        for lineno, line in enumerate(self.lines, start=1):
+            code = _code(line)
+            words = code.split()
+            if not words:
+                continue
+            self.words += words
+            self.line_of += [lineno] * len(words)
+            if len(code) > MAX_TOKEN_CHARS and max(map(len, words)) > MAX_TOKEN_CHARS:
+                first = len(self.words) - len(words)
+                over = next(i for i, word in enumerate(words) if len(word) > MAX_TOKEN_CHARS)
+                raise ParseError(f"token longer than {MAX_TOKEN_CHARS} characters",
+                                 self.span(first + over))
 
-    def peek(self) -> _Token | None:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+    def span(self, index: int) -> SourceSpan:
+        """Where token ``index`` is: the n-th token of its line."""
+        lineno = self.line_of[index]
+        nth = index - bisect_left(self.line_of, lineno)
+        match = next(islice(_TOKEN_RE.finditer(_code(self.lines[lineno - 1])), nth, None))
+        return SourceSpan(lineno, match.start() + 1, match.end())
 
-    def next(self, expected: str) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"unexpected end of input; expected {expected}", self._eof)
-        self._pos += 1
-        return token
+    def next(self, expected: str) -> int:
+        """The index of the next token, which the cursor then passes."""
+        if self.pos == len(self.words):
+            last = max(len(self.lines[-1]), 1)
+            raise ParseError(f"unexpected end of input; expected {expected}",
+                             SourceSpan(len(self.lines), last, last))
+        self.pos += 1
+        return self.pos - 1
 
 
 # Counts and boundary indices: ASCII digits only, and few enough of them that
@@ -117,30 +131,31 @@ class _Stream:
 _MAX_DIGITS = 9
 
 
-def _parse_int(text: str, what: str, span: SourceSpan) -> int:
+def _parse_int(text: str, what: str, tokens: _Tokens, index: int) -> int:
     if not (text.isascii() and text.isdigit()):
-        raise ParseError(f"expected {what}, got {text!r}", span)
+        raise ParseError(f"expected {what}, got {text!r}", tokens.span(index))
     if len(text) > _MAX_DIGITS:
-        raise ParseError(f"{what} has more than {_MAX_DIGITS} digits", span)
+        raise ParseError(f"{what} has more than {_MAX_DIGITS} digits", tokens.span(index))
     return int(text)
 
 
-def _parse_bpoint(token: _Token) -> tuple[BoundaryPoint, _Token]:
-    match = _BPOINT_RE.match(token.text)
+def _parse_bpoint(tokens: _Tokens, index: int) -> BoundaryPoint:
+    text = tokens.words[index]
+    match = _BPOINT_RE.match(text)
     if not match:
-        raise ParseError(f"bad boundary point {token.text!r}", token.span)
+        raise ParseError(f"bad boundary point {text!r}", tokens.span(index))
     side = Side.TOP if match.group(1) == "T" else Side.BOTTOM
-    index = _parse_int(match.group(2), "boundary index", token.span)
+    number = _parse_int(match.group(2), "boundary index", tokens, index)
     direction = Direction.IN if match.group(3) == "in" else Direction.OUT
-    return BoundaryPoint(side, index, direction), token
+    return BoundaryPoint(side, number, direction)
 
 
-@dataclass
-class _Passage:
-    role: str  # "O" | "U" | "S"
-    sign: int
-    end: Endpoint
-    span: SourceSpan
+# The six chord kinds, keyed by the first passage's role and sign character.
+_KINDS: dict[tuple[str, str], ChordKind] = {
+    ("O", "+"): Classical(1, "a"), ("O", "-"): Classical(-1, "a"),
+    ("U", "+"): Classical(1, "b"), ("U", "-"): Classical(-1, "b"),
+    ("S", "+"): Singular(1), ("S", "-"): Singular(-1),
+}
 
 
 def parse(text: str) -> TangleDiagram:
@@ -148,82 +163,88 @@ def parse(text: str) -> TangleDiagram:
 
     Raises ParseError carrying the SourceSpan of the offending token on the
     first problem found: lexical errors, label arity violations, O/U or sign
-    mismatches, boundary misuse, or long-component direction violations.
+    mismatches, boundary misuse, long-component direction violations, or
+    a file over MAX_CHORDS labels or MAX_TOKEN_CHARS per token.
     """
-    stream = _Stream(text)
+    tokens = _Tokens(text)
+    words = tokens.words
 
-    header = stream.next("'tangle'")
-    if header.text != "tangle":
-        raise ParseError(f"expected 'tangle', got {header.text!r}", header.span)
-    token = stream.next("top point count")
-    top = _parse_int(token.text, "top point count", token.span)
-    token = stream.next("bottom point count")
-    bottom = _parse_int(token.text, "bottom point count", token.span)
+    header = tokens.next("'tangle'")
+    if words[header] != "tangle":
+        raise ParseError(f"expected 'tangle', got {words[header]!r}", tokens.span(header))
+    at = tokens.next("top point count")
+    top = _parse_int(words[at], "top point count", tokens, at)
+    at = tokens.next("bottom point count")
+    bottom = _parse_int(words[at], "bottom point count", tokens, at)
 
     components: list[Component] = []
     seen_names: set[str] = set()
-    passages: dict[str, list[_Passage]] = {}
-    boundary_seen: dict[tuple[Side, int], _Token] = {}
+    # label -> its passages, flat: visit token, endpoint, token index, ...
+    passages: dict[str, list] = {}
+    boundary_seen: set[tuple[Side, int]] = set()
 
-    while True:
-        token = stream.peek()
-        if token is None:
-            break
-        if token.text != "component":
-            raise ParseError(f"expected 'component', got {token.text!r}", token.span)
-        stream.next("'component'")
-        name_token = stream.next("component name")
-        cid = name_token.text
+    while tokens.pos < len(words):
+        if words[tokens.pos] != "component":
+            raise ParseError(f"expected 'component', got {words[tokens.pos]!r}",
+                             tokens.span(tokens.pos))
+        tokens.pos += 1
+        name = tokens.next("component name")
+        cid = words[name]
         if cid in seen_names:
-            raise ParseError(f"component {cid!r} declared twice", name_token.span)
+            raise ParseError(f"component {cid!r} declared twice", tokens.span(name))
         seen_names.add(cid)
-        kind_token = stream.next("'closed' or 'long'")
+        kind = tokens.next("'closed' or 'long'")
         start = end = None
-        header_end = kind_token
-        if kind_token.text == "long":
-            start, start_token = _parse_bpoint(stream.next("boundary point"))
+        header_end = kind
+        if words[kind] == "long":
+            start_at = tokens.next("boundary point")
+            start = _parse_bpoint(tokens, start_at)
             if start.direction is not Direction.IN:
                 raise ParseError("long component must start at an 'in' point",
-                                 start_token.span)
-            end, end_token = _parse_bpoint(stream.next("boundary point"))
+                                 tokens.span(start_at))
+            end_at = header_end = tokens.next("boundary point")
+            end = _parse_bpoint(tokens, end_at)
             if end.direction is not Direction.OUT:
                 raise ParseError("long component must end at an 'out' point",
-                                 end_token.span)
-            header_end = end_token
-            for point, ptoken in ((start, start_token), (end, end_token)):
+                                 tokens.span(end_at))
+            for point, at in ((start, start_at), (end, end_at)):
                 limit = top if point.side is Side.TOP else bottom
                 if not 1 <= point.index <= limit:
                     raise ParseError(
                         f"boundary point {point.side.value}{point.index} out of range",
-                        ptoken.span)
+                        tokens.span(at))
                 key = (point.side, point.index)
                 if key in boundary_seen:
                     raise ParseError(
                         f"boundary point {point.side.value}{point.index} used twice",
-                        ptoken.span)
-                boundary_seen[key] = ptoken
-        elif kind_token.text != "closed":
-            raise ParseError(f"expected 'closed' or 'long', got {kind_token.text!r}",
-                             kind_token.span)
+                        tokens.span(at))
+                boundary_seen.add(key)
+        elif words[kind] != "closed":
+            raise ParseError(f"expected 'closed' or 'long', got {words[kind]!r}",
+                             tokens.span(kind))
 
-        follower = stream.peek()
-        if follower is not None and follower.span.line == header_end.span.line:
-            raise ParseError("expected end of line after component header", follower.span)
-
+        first = tokens.pos
+        if first < len(words) and tokens.line_of[first] == tokens.line_of[header_end]:
+            raise ParseError("expected end of line after component header",
+                             tokens.span(first))
+        try:
+            tokens.pos = words.index("component", first)
+        except ValueError:
+            tokens.pos = len(words)
         visits: list[str] = []
-        while True:
-            token = stream.peek()
-            if token is None or token.text == "component":
-                break
-            stream.next("visit")
-            match = _VISIT_RE.match(token.text)
-            if not match:
-                raise ParseError(f"bad visit token {token.text!r}", token.span)
-            role, label, sign_char = match.groups()
-            sign = 1 if sign_char == "+" else -1
-            passages.setdefault(label, []).append(
-                _Passage(role, sign, Endpoint(cid, len(visits)), token.span))
+        for position, word in enumerate(words[first:tokens.pos]):
+            if len(word) < 3 or word[0] not in "OUS" or word[-1] not in "+-":
+                raise ParseError(f"bad visit token {word!r}", tokens.span(first + position))
+            label = word[1:-1]
             visits.append(label)
+            uses = passages.get(label)
+            if uses is None:
+                if len(passages) == MAX_CHORDS:
+                    raise ParseError(f"more than {MAX_CHORDS} chord labels",
+                                     tokens.span(first + position))
+                passages[label] = [word, Endpoint(cid, position), first + position]
+            else:
+                uses += (word, Endpoint(cid, position), first + position)
         components.append(Component(cid, tuple(visits), start, end))
 
     for side, limit in ((Side.TOP, top), (Side.BOTTOM, bottom)):
@@ -231,31 +252,30 @@ def parse(text: str) -> TangleDiagram:
             if (side, index) not in boundary_seen:
                 raise ParseError(
                     f"boundary point {side.value}{index} is not used by any component",
-                    header.span)
+                    tokens.span(header))
 
     chords: list[Chord] = []
     for label, uses in passages.items():
-        if len(uses) == 1:
-            raise ParseError(f"dangling chord {label!r}: label appears only once",
-                             uses[0].span)
-        if len(uses) > 2:
-            raise ParseError(f"chord {label!r} appears more than twice", uses[2].span)
-        first, second = uses
-        if first.sign != second.sign:
+        if len(uses) != 6:
+            if len(uses) == 3:
+                raise ParseError(f"dangling chord {label!r}: label appears only once",
+                                 tokens.span(uses[2]))
+            raise ParseError(f"chord {label!r} appears more than twice",
+                             tokens.span(uses[8]))
+        word_a, end_a, _, word_b, end_b, at = uses
+        sign = word_a[-1]
+        if sign != word_b[-1]:
             raise ParseError(f"sign mismatch between the passages of chord {label!r}",
-                             second.span)
-        roles = (first.role, second.role)
-        if "S" in roles:
-            if roles != ("S", "S"):
+                             tokens.span(at))
+        role_a, role_b = word_a[0], word_b[0]
+        if role_a == "S" or role_b == "S":
+            if role_a != role_b:
                 raise ParseError(
-                    f"chord {label!r} mixes singular and classical passages", second.span)
-            kind: ChordKind = Singular(first.sign)
-        elif set(roles) != {"O", "U"}:
+                    f"chord {label!r} mixes singular and classical passages", tokens.span(at))
+        elif role_a == role_b:
             raise ParseError(
-                f"chord {label!r} must appear once as O and once as U", second.span)
-        else:
-            kind = Classical(first.sign, "a" if first.role == "O" else "b")
-        chords.append(Chord(label, first.end, second.end, kind))
+                f"chord {label!r} must appear once as O and once as U", tokens.span(at))
+        chords.append(Chord(label, end_a, end_b, _KINDS[role_a, sign]))
     return TangleDiagram(top, bottom, tuple(components), tuple(chords))
 
 

@@ -30,6 +30,7 @@ from .diagram import (
 # The three polynomial functions are unused here, but bench/spans.py wraps
 # them in this module, so they stay bound.
 from .invariants import (  # noqa: F401
+    InvariantReport,
     invariant_report,
     laurent_linking_polynomial,
     linking_polynomial,
@@ -270,9 +271,16 @@ def check_additivity(upper: TangleDiagram, lower: TangleDiagram,
                      ) -> dict[str, bool]:
     """Compare invariants of the connected sum against the sum of the
     inputs' invariants, after identifying glued variables."""
+    glued, top, bottom = (invariant_report(d, a, b) for d in (glue.diagram, upper, lower))
+    return compare_additivity(glue, glued, top, bottom)
+
+
+def compare_additivity(glue: GlueResult, glued: InvariantReport, top: InvariantReport,
+                       bottom: InvariantReport) -> dict[str, bool]:
+    """``check_additivity`` on reports already computed, with the same
+    ``a`` and ``b``, for the glued, upper and lower diagram."""
     upper_map, lower_map = glue.variable_maps()
     n = len(glue.diagram.components)
-    glued, top, bottom = [invariant_report(d, a, b) for d in (glue.diagram, upper, lower)]
 
     def merged(upper_poly: LaurentPoly, lower_poly: LaurentPoly) -> LaurentPoly:
         return (upper_poly.remap_variables(upper_map, n)

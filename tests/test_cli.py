@@ -361,3 +361,57 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "compute", "-i", "-", "--a", "1", "--b", "2")
     assert code == 0
     assert "plk: 3 t1 t2" in out
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(capsys, clasp_file, trefoil_file):
+    from tanglepoly import cli
+
+    cli._build_parser.cache_clear()
+    code, alone, _ = run(capsys, "compute", "-i", trefoil_file)
+    assert code == 0
+    parser = cli._build_parser()
+    # --input appends: a second call must not see the first call's list
+    first = run(capsys, "sum", "-i", clasp_file, "-i", clasp_file)
+    assert first[0] == 0
+    assert run(capsys, "sum", "-i", clasp_file, "-i", clasp_file) == first
+    # nor may fuzz's flags and defaults reach a later compute
+    code, _, _ = run(capsys, "fuzz", "-i", trefoil_file, "--a", "3", "--b", "2",
+                     "--format", "json", "--steps", "5", "--trials", "1", "--seed", "4")
+    assert code == 0
+    assert run(capsys, "compute", "-i", trefoil_file) == (0, alone, "")
+    assert cli._build_parser() is parser
+
+
+def test_sum_computes_each_report_once(capsys, monkeypatch):
+    from tanglepoly import invariants
+
+    calls = []
+    kernel = invariants._kernel
+
+    def spy(diagram):
+        calls.append(diagram)
+        return kernel(diagram)
+
+    monkeypatch.setattr(invariants, "_kernel", spy)
+    sample = str(Path(__file__).resolve().parent.parent / "samples" / "clasp.tangle")
+    code, out, _ = run(capsys, "sum", "-i", sample, "-i", sample)
+    assert code == 0
+    assert "additivity: PASS" in out
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("bound, value, text", [
+    ("MAX_CHORDS", 1, "tangle 0 0\ncomponent K closed\nO1+ U1+ O2+ U2+\n"),
+    # 'component' is the longest keyword
+    ("MAX_TOKEN_CHARS", 9, "tangle 0 0\ncomponent K closed\nO1+ U1+ O1234567+\n"),
+])
+def test_file_bounds_exit_2(capsys, monkeypatch, tmp_path, bound, value, text):
+    from tanglepoly import gaussio
+
+    monkeypatch.setattr(gaussio, bound, value)
+    path = tmp_path / "big.tangle"
+    path.write_text(text)
+    code, out, err = run(capsys, "compute", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert "(line 3, cols 9-" in err

@@ -336,3 +336,100 @@ def test_parse_matches_oracle_on_mutated_texts():
         outcomes["parsed" if same_as_oracle(text) is not None else "error"] += 1
     assert min(outcomes.values()) >= 300
     assert fired == set(_CHECKS), set(_CHECKS) - fired
+
+
+# ── Spans on error only, late errors in long texts, and the file bounds ──
+
+def _big_text(rng: random.Random, chords: int) -> str:
+    """A valid file of ``chords`` classical chords on two long and two
+    closed components, each row on one line with mixed whitespace."""
+    rows: list[list[str]] = [[] for _ in range(4)]
+    for label in range(1, chords + 1):
+        sign = rng.choice("+-")
+        for role in rng.choice((("O", "U"), ("U", "O"))):
+            rows[rng.randrange(4)].append(f"{role}{label}{sign}")
+    headers = ("component a long T1:in B1:out", "component b long T2:in B2:out",
+               "component c closed", "component d closed")
+    out = ["tangle 2 2"]
+    for header, row in zip(headers, rows):
+        rng.shuffle(row)
+        out += [header, "".join(token + rng.choice(_GAPS) for token in row)]
+    return "\n".join(out) + "\n"
+
+
+def test_valid_parse_builds_no_span(monkeypatch):
+    from tanglepoly import gaussio
+
+    built = []
+
+    class Spy(gaussio.SourceSpan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    text = _big_text(random.Random(3), 3200)
+    monkeypatch.setattr(gaussio, "SourceSpan", Spy)
+    assert len(parse(text).chords) == 3200
+    assert built == []
+    # an error still builds its one span
+    with pytest.raises(ParseError):
+        parse(text + "O1+")
+    assert len(built) == 1
+
+
+def _late_errors(text: str) -> list[tuple[str, str, int]]:
+    """Each kind of late error put at the end of a long valid text from
+    ``_big_text``: (message fragment, text, line of the error)."""
+    end = len(text.rstrip())                 # the end of the last visit row
+    last = text[:end].split()[-1]
+    label, sign = last[1:-1], last[-1]
+    header = text.rindex("component d closed") + len("component d closed")
+    return [
+        ("bad visit token", text[:end] + "\t\u00a0\u3000Q9+" + text[end:], 9),
+        ("dangling chord", text + "O999999+\n", 10),
+        ("appears more than twice", text[:end] + " " + last + text[end:], 9),
+        ("sign mismatch", text[:end - 1] + {"+": "-", "-": "+"}[sign] + text[end:], 9),
+        ("mixes singular", text[:end - len(last)] + f"S{label}{sign}" + text[end:], 9),
+        ("expected end of line", text[:header] + " " + last + text[header:], 8),
+    ]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_late_errors_match_oracle_on_long_texts(seed):
+    text = _big_text(random.Random(seed), 3200)
+    assert same_as_oracle(text) is not None
+    for fragment, bad, line in _late_errors(text):
+        assert same_as_oracle(bad) is None, fragment
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        assert fragment in info.value.message, (fragment, info.value.message)
+        assert info.value.span.line == line, fragment
+
+
+def test_chord_label_bound(monkeypatch):
+    from tanglepoly import gaussio
+
+    monkeypatch.setattr(gaussio, "MAX_CHORDS", 3)
+    text = "tangle 0 0\ncomponent K closed\nO1+ U1+ O2- U2- Ox+ Ux+\n"
+    assert len(parse(text).chords) == 3
+    err = expect_error(text[:-1] + " Oy+ Uy+\n", "more than 3 chord labels")
+    assert (err.span.line, err.span.col_start, err.span.col_end) == (3, 25, 27)
+
+
+def test_token_length_bound(monkeypatch):
+    from tanglepoly import gaussio
+
+    monkeypatch.setattr(gaussio, "MAX_TOKEN_CHARS", 10)
+    name = "n" * 10
+    assert parse(f"tangle 0 0\ncomponent {name} closed\n").component_ids() == (name,)
+    # fires before any other check, at the first token over the bound, and
+    # not on text after a '#'
+    err = expect_error(f"knot\ncomponent {name} closed # {name}xx\n\t{name}x {name}yy\n",
+                       "token longer than 10 characters")
+    assert (err.span.line, err.span.col_start, err.span.col_end) == (3, 2, 12)
+
+
+def test_gen_output_is_within_the_chord_bound():
+    from tanglepoly import cli, gaussio
+
+    assert cli.MAX_GEN_CHORDS <= gaussio.MAX_CHORDS
