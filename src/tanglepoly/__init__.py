@@ -54,6 +54,7 @@ from .moves import (
     TriangleSlide,
     apply,
     enumerate_sites,
+    iter_walk,
     random_walk,
 )
 from .ops import (

@@ -468,19 +468,21 @@ def _splice(diagram: TangleDiagram, drop: Iterable[str] = (),
             chord = Chord(chord.label, end_a, end_b, chord.kind)
         chords.append(chord)
 
-    order = {comp.cid: k for k, comp in enumerate(diagram.components)}
-
-    def first_end(end: Endpoint) -> tuple[int, int]:
-        return (order[end.component], end.position)
-
-    for label, ends in placed.items():
-        end_a, end_b = ends["a"], ends["b"]
-        kind = kinds[label]  # type: ignore[index]
-        if first_end(end_b) < first_end(end_a):
-            end_a, end_b = end_b, end_a
-            kind = _flip_kind(kind)
-        chords.insert(bisect(chords, first_end(end_a), key=lambda c: first_end(c.end_a)),
-                      Chord(label, end_a, end_b, kind))
+    if placed:
+        order = {comp.cid: k for k, comp in enumerate(diagram.components)}
+        # the chord order's sort key of each chord, built once for bisecting
+        keys = [(order[chord.end_a.component], chord.end_a.position) for chord in chords]
+        for label, ends in placed.items():
+            end_a, end_b = ends["a"], ends["b"]
+            kind = kinds[label]  # type: ignore[index]
+            key_a = (order[end_a.component], end_a.position)
+            key_b = (order[end_b.component], end_b.position)
+            if key_b < key_a:
+                end_a, end_b, key_a = end_b, end_a, key_b
+                kind = _flip_kind(kind)
+            at = bisect(keys, key_a)
+            keys.insert(at, key_a)
+            chords.insert(at, Chord(label, end_a, end_b, kind))
     return TangleDiagram(diagram.top, diagram.bottom, tuple(components), tuple(chords))
 
 

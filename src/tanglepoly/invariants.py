@@ -25,6 +25,12 @@ from that pass, in O(C + n^2) for C chords and n components:
 * linking polynomial         adds [a*vlk(i,j) + b*vlk(j,i)] * t_i t_j over pairs i<j
 * Laurent linking polynomial adds a*vlk(i,j)*t_i t_j^-1 + b*vlk(j,i)*t_i^-1 t_j
 
+The integer terms of the self-crossing polynomial and the vlk matrix are the
+diagram's normal form (``_normal_form``): every report is built from them,
+and the other fields are fixed functions of them and of (a, b).  So two
+diagrams have equal reports at any (a, b) exactly when their normal forms
+are equal, which is what ``tanglepoly fuzz`` compares on every step.
+
 Components are numbered from 1 in list order, matching the variable names
 t1..tn.
 """
@@ -54,38 +60,45 @@ class IndexValue:
 
 
 # label -> (0-based component number, sign, signed index) per classical
-# self-crossing; (over, under) 0-based component numbers -> signed count
+# self-crossing; (over, under) 0-based component numbers -> signed count;
+# the vlk matrix, row i over column j
 Crossings = dict[str, tuple[int, int, int]]
 Links = dict[tuple[int, int], int]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _kernel(diagram: TangleDiagram) -> tuple[Crossings, Links]:
     """The one pass over the chords behind every invariant; singular chords
     are skipped."""
-    number = {comp.cid: k for k, comp in enumerate(diagram.components)}
-    weights = [[0] * len(comp.visits) for comp in diagram.components]
-    self_chords: list[tuple[Chord, int, int]] = []
+    components = diagram.components
+    number = {comp.cid: k for k, comp in enumerate(components)}
+    weights = [[0] * len(comp.visits) for comp in components]
+    # (label, component number, sign, position of end_a, position of end_b)
+    self_chords: list[tuple[str, int, int, int, int]] = []
     links: Links = {}
     for chord in diagram.chords:
         kind = chord.kind
         if not isinstance(kind, Classical):
             continue
-        over, under = ((chord.end_a, chord.end_b) if kind.over == "a"
-                       else (chord.end_b, chord.end_a))
-        i, j = number[over.component], number[under.component]
+        end_a, end_b, sign = chord.end_a, chord.end_b, kind.sign
+        i, j = number[end_a.component], number[end_b.component]
+        if kind.over == "b":
+            i, j = j, i
         if i == j:
-            weights[i][over.position] += kind.sign
-            weights[i][under.position] -= kind.sign
-            self_chords.append((chord, i, kind.sign))
+            row, pa, pb = weights[i], end_a.position, end_b.position
+            over_sign = sign if kind.over == "a" else -sign
+            row[pa] += over_sign
+            row[pb] -= over_sign
+            self_chords.append((chord.label, i, sign, pa, pb))
         else:
-            links[i, j] = links.get((i, j), 0) + kind.sign
+            links[i, j] = links.get((i, j), 0) + sign
 
     prefixes = [list(accumulate(row, initial=0)) for row in weights]
+    closed = [comp.is_closed for comp in components]
     crossings: Crossings = {}
-    for chord, i, sign in self_chords:
+    for label, i, sign, pa, pb in self_chords:
         prefix = prefixes[i]
-        pa, pb = chord.end_a.position, chord.end_b.position
-        if not diagram.components[i].is_closed:
+        if not closed[i]:
             # the strand minus [min, max] is the cyclic arc (max, min)
             pa, pb = max(pa, pb), min(pa, pb)
         # piece 1 is the open arc (pa, pb), read cyclically
@@ -93,7 +106,7 @@ def _kernel(diagram: TangleDiagram) -> tuple[Crossings, Links]:
             index = prefix[pb] - prefix[pa + 1]
         else:
             index = prefix[-1] - (prefix[pa + 1] - prefix[pb])
-        crossings[chord.label] = (i, sign, index)
+        crossings[label] = (i, sign, index)
     return crossings, links
 
 
@@ -125,9 +138,9 @@ def _require_classical(diagram: TangleDiagram, what: str) -> None:
 
 
 def _index_terms(n: int, crossings: Crossings, signed: bool = False,
-                 ) -> dict[Exponents, Fraction]:
-    """Nonzero terms of sum sign * (t_i^index - 1), with |index| unless
-    ``signed``."""
+                 ) -> dict[Exponents, int]:
+    """Nonzero integer terms of sum sign * (t_i^index - 1), with |index|
+    unless ``signed``."""
     counts: dict[tuple[int, int], int] = {}
     for i, sign, index in crossings.values():
         key = (i, index if signed else abs(index))
@@ -140,20 +153,37 @@ def _index_terms(n: int, crossings: Crossings, signed: bool = False,
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
         terms[constant] = terms.get(constant, 0) - coeff
-    return {key: Fraction(coeff) for key, coeff in terms.items() if coeff}
+    return {key: coeff for key, coeff in terms.items() if coeff}
 
 
-def _with_links(n: int, psc_terms: dict[Exponents, Fraction], links: Links,
+def _fractions(terms: dict[Exponents, int]) -> dict[Exponents, Fraction]:
+    return {key: Fraction(coeff) for key, coeff in terms.items()}
+
+
+def _normal_form(diagram: TangleDiagram) -> tuple[dict[Exponents, int], Matrix]:
+    """The integer terms of the self-crossing polynomial and the vlk matrix,
+    which every report is built from (see the module docstring); singular
+    chords are skipped, as in ``_kernel``."""
+    n = len(diagram.components)
+    crossings, links = _kernel(diagram)
+    vlk = tuple(tuple(links.get((i, j), 0) for j in range(n)) for i in range(n))
+    return _index_terms(n, crossings), vlk
+
+
+def _with_links(n: int, psc_terms: dict[Exponents, Fraction], vlk: Matrix,
                 a: Fraction, b: Fraction, laurent: bool) -> LaurentPoly:
     """Self-crossing terms plus vlk(i,j) weighted by a when i < j and by b
     when i > j, on t_i t_j (plain) or t_i t_j^-1 (Laurent)."""
     terms = dict(psc_terms)
-    for (i, j), count in links.items():
-        exps = [0] * n
-        exps[i] = 1
-        exps[j] = -1 if laurent else 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + (a if i < j else b) * count
+    for i, row in enumerate(vlk):
+        for j, count in enumerate(row):
+            if not count:
+                continue
+            exps = [0] * n
+            exps[i] = 1
+            exps[j] = -1 if laurent else 1
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + (a if i < j else b) * count
     return LaurentPoly._from_normal(n, {key: c for key, c in terms.items() if c})
 
 
@@ -165,7 +195,7 @@ def self_crossing_polynomial(diagram: TangleDiagram) -> LaurentPoly:
     _require_classical(diagram, "the self-crossing polynomial")
     n = len(diagram.components)
     crossings, _links = _kernel(diagram)
-    return LaurentPoly._from_normal(n, _index_terms(n, crossings))
+    return LaurentPoly._from_normal(n, _fractions(_index_terms(n, crossings)))
 
 
 def virtual_linking_number(diagram: TangleDiagram, i: int, j: int) -> int:
@@ -192,9 +222,8 @@ def wriggle_number(diagram: TangleDiagram, i: int, j: int) -> int:
 def _linking_family(diagram: TangleDiagram, a: RationalLike, b: RationalLike,
                     laurent: bool, what: str) -> LaurentPoly:
     _require_classical(diagram, what)
-    n = len(diagram.components)
-    crossings, links = _kernel(diagram)
-    return _with_links(n, _index_terms(n, crossings), links,
+    psc_terms, vlk = _normal_form(diagram)
+    return _with_links(len(vlk), _fractions(psc_terms), vlk,
                        as_fraction(a), as_fraction(b), laurent)
 
 
@@ -236,7 +265,7 @@ def long_ordered_polynomial(diagram: TangleDiagram) -> LaurentPoly:
         raise InvariantError("expected exactly one long component")
     _require_classical(diagram, "the ordered polynomial")
     crossings, _links = _kernel(diagram)
-    return LaurentPoly._from_normal(1, _index_terms(1, crossings, signed=True))
+    return LaurentPoly._from_normal(1, _fractions(_index_terms(1, crossings, signed=True)))
 
 
 # ── Report assembly ───────────────────────────────────────────────────────
@@ -251,8 +280,8 @@ class InvariantReport:
     psc: LaurentPoly
     plk: LaurentPoly
     plk_laurent: LaurentPoly
-    vlk: tuple[tuple[int, ...], ...]
-    wriggle: tuple[tuple[int, ...], ...]
+    vlk: Matrix
+    wriggle: Matrix
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,18 +297,15 @@ class InvariantReport:
 
 def invariant_report(diagram: TangleDiagram, a: RationalLike = 1,
                      b: RationalLike = 1) -> InvariantReport:
-    """Evaluate every invariant from one pass over the chords."""
+    """Evaluate every invariant from the diagram's normal form."""
     a_frac, b_frac = as_fraction(a), as_fraction(b)
     _require_classical(diagram, "the self-crossing polynomial")
-    n = len(diagram.components)
-    crossings, links = _kernel(diagram)
-    psc_terms = _index_terms(n, crossings)
-    vlk_matrix = tuple(tuple(links.get((i, j), 0) for j in range(n)) for i in range(n))
-    wriggle_matrix = tuple(
-        tuple(vlk_matrix[i][j] - vlk_matrix[j][i] for j in range(n))
-        for i in range(n))
+    psc_ints, vlk = _normal_form(diagram)
+    n = len(vlk)
+    psc_terms = _fractions(psc_ints)
+    wriggle = tuple(tuple(vlk[i][j] - vlk[j][i] for j in range(n)) for i in range(n))
     return InvariantReport(
         a_frac, b_frac, LaurentPoly._from_normal(n, psc_terms),
-        _with_links(n, psc_terms, links, a_frac, b_frac, laurent=False),
-        _with_links(n, psc_terms, links, a_frac, b_frac, laurent=True),
-        vlk_matrix, wriggle_matrix)
+        _with_links(n, psc_terms, vlk, a_frac, b_frac, laurent=False),
+        _with_links(n, psc_terms, vlk, a_frac, b_frac, laurent=True),
+        vlk, wriggle)

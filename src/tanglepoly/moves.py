@@ -28,19 +28,19 @@ classical move fires.  That makes the move patterns purely combinatorial:
 
 The random walk applies a seeded stream of legal moves, preferring removals
 once the chord count reaches the configured cap, and never changes any of
-the polynomial or linking invariants.
+the polynomial or linking invariants.  ``iter_walk`` yields its diagrams one
+at a time and keeps only the current one; ``random_walk`` lists them.
 
 A move costs about what it touches.  Kink and pair moves splice the new
 diagram out of the old one (``diagram._splice``): positions on the edited
 components shift and every chord whose ends did not move is reused.  The
 triangle slide still rebuilds the diagram from its tokens: its swaps can
 cross a closed component's basepoint and rename chord ends.  A removal
-site is checked on its own chords (``_is_kink``, ``_is_removable_pair``),
-with the same predicates the site finders use, and chords and components
-are looked up through the diagram's index.  The finders are generators:
-on each step the walk asks each removal kind only whether it has a site,
-and lists the sites of the kind it draws, so its random draws are those of
-listing every kind.
+site is checked on its own chords (``_is_kink``, ``_is_removable_pair``,
+``_triangle_pairs``).  One scan (``_removal_sites``) lists the sites of all
+three removal kinds with the same adjacency test; ``enumerate_sites``
+returns its lists, and the walk reads from it, once per step, which kinds
+have a site and the drawn kind's list.
 """
 
 from __future__ import annotations
@@ -169,11 +169,12 @@ def _touching(diagram: TangleDiagram, first: Endpoint, second: Endpoint) -> bool
 
 
 def _fresh_labels(diagram: TangleDiagram, count: int) -> list[str]:
+    taken = {chord.label for chord in diagram.chords}
     labels: list[str] = []
     candidate = 1
     while len(labels) < count:
         name = str(candidate)
-        if name not in diagram._chord_index:
+        if name not in taken:
             labels.append(name)
         candidate += 1
     return labels
@@ -211,12 +212,6 @@ def _apply_kink_insert(diagram: TangleDiagram, site: KinkInsert) -> TangleDiagra
 def _is_kink(diagram: TangleDiagram, chord: Chord) -> bool:
     """A classical chord whose two passages are adjacent on one component."""
     return chord.is_classical and _touching(diagram, chord.end_a, chord.end_b)
-
-
-def _kink_remove_sites(diagram: TangleDiagram) -> Iterator[KinkRemove]:
-    for chord in diagram.chords:
-        if _is_kink(diagram, chord):
-            yield KinkRemove(chord.label)
 
 
 def _apply_kink_remove(diagram: TangleDiagram, site: KinkRemove) -> TangleDiagram:
@@ -262,35 +257,6 @@ def _apply_pair_insert(diagram: TangleDiagram, site: PairInsert) -> TangleDiagra
                           second: Classical(-site.lead_sign, "a")})
 
 
-def _over_passages(diagram: TangleDiagram, sign: int | None = None,
-                   ) -> dict[tuple[str, int], Chord]:
-    """The classical chord whose over passage sits at each (component id,
-    position); with ``sign``, only chords of that sign."""
-    over_at = {}
-    for chord in diagram.chords:
-        if isinstance(chord.kind, Classical) and sign in (None, chord.kind.sign):
-            end = chord.over_endpoint()
-            over_at[end.component, end.position] = chord
-    return over_at
-
-
-def _over_pairs(diagram: TangleDiagram, over_at: dict[tuple[str, int], Chord],
-                ) -> Iterator[tuple[Chord, Chord]]:
-    """Pairs (first, second) of chords in ``over_at`` whose over passages
-    are adjacent on one component, second right after first, in the order
-    of first's position (a closed component's wrap-around pair last)."""
-    for comp in diagram.components:
-        cid, size = comp.cid, len(comp.visits)
-        head = previous = over_at.get((cid, 0))
-        for pos in range(1, size):
-            current = over_at.get((cid, pos))
-            if previous is not None and current is not None:
-                yield previous, current
-            previous = current
-        if comp.is_closed and size > 1 and previous is not None and head is not None:
-            yield previous, head
-
-
 def _is_removable_pair(diagram: TangleDiagram, first: Chord, second: Chord) -> bool:
     """Classical chords of opposite signs whose over passages are adjacent,
     second's right after first's, and whose under passages are adjacent on
@@ -301,12 +267,6 @@ def _is_removable_pair(diagram: TangleDiagram, first: Chord, second: Chord) -> b
         return False
     return (_follows(diagram, first.over_endpoint(), second.over_endpoint())
             and _touching(diagram, first.under_endpoint(), second.under_endpoint()))
-
-
-def _pair_remove_sites(diagram: TangleDiagram) -> Iterator[PairRemove]:
-    for c1, c2 in _over_pairs(diagram, _over_passages(diagram)):
-        if _is_removable_pair(diagram, c1, c2):
-            yield PairRemove(c1.label, c2.label)
 
 
 def _apply_pair_remove(diagram: TangleDiagram, site: PairRemove) -> TangleDiagram:
@@ -367,24 +327,6 @@ def _triangle_pairs(diagram: TangleDiagram, site: TriangleSlide,
     return pairs  # type: ignore[return-value]
 
 
-def _triangle_sites(diagram: TangleDiagram) -> Iterator[TriangleSlide]:
-    # all three chords of a triangle are positive
-    over_at = _over_passages(diagram, sign=1)
-    for c1, c2 in _over_pairs(diagram, over_at):
-        # forward: this is the over pair (x, y); z is the chord whose over
-        # passage follows x's under passage in the direction of the slide
-        for forward, (x, y) in ((True, (c1, c2)), (False, (c2, c1))):
-            step = _next_pos if forward else _prev_pos
-            ux = x.under_endpoint()
-            spot = step(diagram.component(ux.component), ux.position)
-            z = over_at.get((ux.component, spot))
-            if z is None:
-                continue
-            candidate = TriangleSlide(x.label, y.label, z.label, forward)
-            if _triangle_pairs(diagram, candidate) is not None:
-                yield candidate
-
-
 def _apply_triangle(diagram: TangleDiagram, site: TriangleSlide) -> TangleDiagram:
     pairs = _triangle_pairs(diagram, site)
     if pairs is None:
@@ -396,16 +338,76 @@ def _apply_triangle(diagram: TangleDiagram, site: TriangleSlide) -> TangleDiagra
     return _rebuild(diagram, tokens, _kind_map(diagram))
 
 
+# ── Removal sites ─────────────────────────────────────────────────────────
+
+
+def _removal_sites(diagram: TangleDiagram,
+                   ) -> tuple[list[KinkRemove], list[PairRemove], list[TriangleSlide]]:
+    """Every kink-removal, pair-removal and triangle-slide site, from one
+    scan.
+
+    One pass over the chords lists the kinks, in chord order, and records
+    the classical chord whose over passage sits at each visit.  One pass
+    over each component then meets every pair (first, second) of chords
+    whose over passages are adjacent, second right after first, in
+    position order with a closed component's wrap-around pair last.  A
+    pair of opposite signs is a pair-removal site when its under passages
+    touch.  A positive pair is the over pair of at most two triangles: the
+    forward one takes z at the visit after first's under passage, the
+    backward one at the visit before second's; a candidate whose under
+    passages of y and z follow each other goes to ``_triangle_pairs``.
+    """
+    comps: dict[str, Component] = {}
+    # component id -> the classical chord whose over passage sits at each visit
+    over_at: dict[str, list[Chord | None]] = {}
+    for comp in diagram.components:
+        comps[comp.cid] = comp
+        over_at[comp.cid] = [None] * len(comp.visits)
+    kinks: list[KinkRemove] = []
+    for chord in diagram.chords:
+        kind = chord.kind
+        if not isinstance(kind, Classical):
+            continue
+        over = chord.end_a if kind.over == "a" else chord.end_b
+        over_at[over.component][over.position] = chord
+        if _touching(diagram, chord.end_a, chord.end_b):
+            kinks.append(KinkRemove(chord.label))
+
+    pairs: list[PairRemove] = []
+    triangles: list[TriangleSlide] = []
+    for cid, row in over_at.items():
+        adjacent = list(zip(row, row[1:]))
+        if comps[cid].is_closed and len(row) > 1:
+            adjacent.append((row[-1], row[0]))
+        for first, second in adjacent:
+            if first is None or second is None:
+                continue
+            signs = (first.kind.sign, second.kind.sign)  # type: ignore[union-attr]
+            if signs[0] + signs[1] == 0:
+                if _touching(diagram, first.under_endpoint(), second.under_endpoint()):
+                    pairs.append(PairRemove(first.label, second.label))
+            elif signs == (1, 1):
+                for forward, x, y in ((True, first, second), (False, second, first)):
+                    step = _next_pos if forward else _prev_pos
+                    ux = x.under_endpoint()
+                    spot = step(comps[ux.component], ux.position)
+                    z = None if spot is None else over_at[ux.component][spot]
+                    if z is None or z.kind.sign != 1:  # type: ignore[union-attr]
+                        continue
+                    uy, uz = y.under_endpoint(), z.under_endpoint()
+                    if (uy.component != uz.component
+                            or step(comps[uy.component], uy.position) != uz.position):
+                        continue
+                    candidate = TriangleSlide(x.label, y.label, z.label, forward)
+                    if _triangle_pairs(diagram, candidate) is not None:
+                        triangles.append(candidate)
+    return kinks, pairs, triangles
+
+
 # ── Public surface ────────────────────────────────────────────────────────
 
 
-_SITE_FINDERS = {
-    MoveKind.KINK_INSERT: _kink_insert_sites,
-    MoveKind.KINK_REMOVE: _kink_remove_sites,
-    MoveKind.PAIR_INSERT: _pair_insert_sites,
-    MoveKind.PAIR_REMOVE: _pair_remove_sites,
-    MoveKind.TRIANGLE_SLIDE: _triangle_sites,
-}
+_REMOVAL_KINDS = (MoveKind.KINK_REMOVE, MoveKind.PAIR_REMOVE, MoveKind.TRIANGLE_SLIDE)
 
 _APPLIERS = {
     KinkInsert: _apply_kink_insert,
@@ -418,10 +420,13 @@ _APPLIERS = {
 
 def enumerate_sites(diagram: TangleDiagram, kind: MoveKind) -> list[MoveSite]:
     """Every legal application of one move kind, in a deterministic order."""
-    finder = _SITE_FINDERS.get(kind)
-    if finder is None:
-        raise MoveError(f"unknown move kind {kind!r}")
-    return list(finder(diagram))
+    if kind is MoveKind.KINK_INSERT:
+        return list(_kink_insert_sites(diagram))
+    if kind is MoveKind.PAIR_INSERT:
+        return list(_pair_insert_sites(diagram))
+    if kind in _REMOVAL_KINDS:
+        return _removal_sites(diagram)[_REMOVAL_KINDS.index(kind)]  # type: ignore[return-value]
+    raise MoveError(f"unknown move kind {kind!r}")
 
 
 def apply(diagram: TangleDiagram, site: MoveSite) -> TangleDiagram:
@@ -443,51 +448,63 @@ _WALK_WEIGHTS = {
 }
 
 
-def random_walk(diagram: TangleDiagram, steps: int, seed: int,
-                cap: int = DEFAULT_CHORD_CAP) -> list[TangleDiagram]:
+# the draw's weights, read once here rather than per step
+_KINK_INSERT_WEIGHT = _WALK_WEIGHTS[MoveKind.KINK_INSERT]
+_PAIR_INSERT_WEIGHT = _WALK_WEIGHTS[MoveKind.PAIR_INSERT]
+_REMOVAL_WEIGHTS = tuple(_WALK_WEIGHTS[kind] for kind in _REMOVAL_KINDS)
+
+
+def iter_walk(diagram: TangleDiagram, steps: int, seed: int,
+              cap: int = DEFAULT_CHORD_CAP) -> Iterator[TangleDiagram]:
     """Deterministic random walk through equivalent diagrams.
 
-    Returns steps+1 diagrams starting with the input; each successive
-    diagram is one legal move from its predecessor (or a repeat when no
-    move is available).  Insertions stop once the chord count would exceed
-    ``cap``.
+    Yields steps+1 diagrams starting with the input; each successive
+    diagram is one legal move from its predecessor, or the same object
+    again when no move is available.  Insertions stop once the chord count
+    would exceed ``cap``.  Only the current diagram is kept.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     rng = random.Random(seed)
-    trail = [diagram]
     current = diagram
+    yield current
     for step in range(steps):
         gaps = _all_gaps(current)
-        choices: list[MoveKind] = []
         chord_count = len(current.chords)
+        # the kinds that have a site, each a move kind or a site list
+        choices: list[MoveKind | list[MoveSite]] = []
+        weights: list[int] = []
         if gaps and chord_count + 1 <= cap:
             choices.append(MoveKind.KINK_INSERT)
+            weights.append(_KINK_INSERT_WEIGHT)
         if len(gaps) >= 2 and chord_count + 2 <= cap:
             choices.append(MoveKind.PAIR_INSERT)
-        # a removal kind is a choice when it has a site; only the drawn
-        # kind's sites are listed
-        for kind in (MoveKind.KINK_REMOVE, MoveKind.PAIR_REMOVE,
-                     MoveKind.TRIANGLE_SLIDE):
-            if next(_SITE_FINDERS[kind](current), None) is not None:
-                choices.append(kind)
+            weights.append(_PAIR_INSERT_WEIGHT)
+        for sites, weight in zip(_removal_sites(current), _REMOVAL_WEIGHTS):
+            if sites:
+                choices.append(sites)  # type: ignore[arg-type]
+                weights.append(weight)
         if not choices:
             # nothing changed and nothing was drawn: every later step repeats
-            trail.extend([current] * (steps - step))
-            break
-        weights = [_WALK_WEIGHTS[kind] for kind in choices]
-        kind = rng.choices(choices, weights=weights, k=1)[0]
-        if kind is MoveKind.KINK_INSERT:
+            for _ in range(steps - step):
+                yield current
+            return
+        drawn = rng.choices(choices, weights=weights, k=1)[0]
+        if drawn is MoveKind.KINK_INSERT:
             cid, gap = gaps[rng.randrange(len(gaps))]
             site: MoveSite = KinkInsert(cid, gap, rng.choice((1, -1)),
                                         rng.choice(("a", "b")))
-        elif kind is MoveKind.PAIR_INSERT:
+        elif drawn is MoveKind.PAIR_INSERT:
             first, second = rng.sample(range(len(gaps)), 2)
             site = PairInsert(gaps[first], gaps[second], rng.choice((1, -1)),
                               rng.choice((False, True)))
         else:
-            sites = enumerate_sites(current, kind)
-            site = sites[rng.randrange(len(sites))]
+            site = drawn[rng.randrange(len(drawn))]  # type: ignore[index]
         current = apply(current, site)
-        trail.append(current)
-    return trail
+        yield current
+
+
+def random_walk(diagram: TangleDiagram, steps: int, seed: int,
+                cap: int = DEFAULT_CHORD_CAP) -> list[TangleDiagram]:
+    """The steps+1 diagrams of ``iter_walk`` as a list."""
+    return list(iter_walk(diagram, steps, seed, cap))

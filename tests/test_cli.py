@@ -203,21 +203,21 @@ def test_fuzz_counts_only_applied_moves(capsys):
 def test_fuzz_skips_repeated_steps(capsys, clasp_file, monkeypatch):
     import tanglepoly.cli as cli
 
-    reports = []
-    original = cli.invariant_report
+    checked = []
+    original = cli._normal_form
 
-    def counting_report(diagram, a, b):
-        reports.append(diagram)
-        return original(diagram, a, b)
+    def counting_check(diagram):
+        checked.append(diagram)
+        return original(diagram)
 
-    monkeypatch.setattr(cli, "invariant_report", counting_report)
-    monkeypatch.setattr(cli, "random_walk",
-                        lambda diagram, steps, seed, cap: [diagram] * (steps + 1))
+    monkeypatch.setattr(cli, "_normal_form", counting_check)
+    monkeypatch.setattr(cli, "iter_walk",
+                        lambda diagram, steps, seed, cap: iter([diagram] * (steps + 1)))
     code, out, _ = run(capsys, "fuzz", "-i", clasp_file, "--steps", "5",
                        "--trials", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["moves"] == 0
-    assert len(reports) == 1  # the baseline only
+    assert len(checked) == 1  # the baseline only
 
 
 def test_fuzz_negative_cap(capsys, clasp_file):
@@ -235,8 +235,8 @@ def test_fuzz_upper_bounds(capsys, clasp_file, monkeypatch, flag, bound):
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk started")
 
-    monkeypatch.setattr(cli, "random_walk", no_walk)
-    monkeypatch.setattr(cli, "invariant_report", no_walk)
+    monkeypatch.setattr(cli, "iter_walk", no_walk)
+    monkeypatch.setattr(cli, "_normal_form", no_walk)
     limit = getattr(cli, bound)
     code, out, err = run(capsys, "fuzz", "-i", clasp_file, flag, str(limit + 1))
     assert code == 2
@@ -244,8 +244,8 @@ def test_fuzz_upper_bounds(capsys, clasp_file, monkeypatch, flag, bound):
     assert f"{flag} of at most {limit}" in err
     # the bound itself is accepted; a stub walk keeps the run small
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "random_walk",
-                        lambda diagram, steps, seed, cap: [diagram] * (steps + 1))
+    monkeypatch.setattr(cli, "iter_walk",
+                        lambda diagram, steps, seed, cap: iter([diagram] * (steps + 1)))
     code, _, _ = run(capsys, "fuzz", "-i", clasp_file, flag, str(limit))
     assert code == 0
 
@@ -260,20 +260,21 @@ def test_fuzz_counterexample_exit_code(capsys, clasp_file, monkeypatch):
     # legal moves never change the invariants, so fault-inject a broken
     # "move" to pin the counterexample contract: exit 4 plus both diagrams
     import tanglepoly.cli as cli
-    from tanglepoly import parse
+    from tanglepoly import parse, serialize
 
     broken = parse("tangle 2 2\ncomponent A long T1:in B1:out\nO1- U2+\n"
                    "component B long T2:in B2:out\nU1- O2+\n")
 
     def fake_walk(diagram, steps, seed, cap):
-        return [diagram, broken]
+        yield from (diagram, broken)
 
-    monkeypatch.setattr(cli, "random_walk", fake_walk)
+    monkeypatch.setattr(cli, "iter_walk", fake_walk)
     code, out, _ = run(capsys, "fuzz", "-i", clasp_file, "--steps", "1",
                        "--trials", "1")
     assert code == 4
-    assert "FAIL" in out
-    assert "before the move" in out and "after the move" in out
+    assert out == ("FAIL trial=0 step=1\n--- diagram before the move ---\n"
+                   + serialize(parse(CLASP_TEXT))
+                   + "--- diagram after the move ---\n" + serialize(broken))
 
 
 def test_sum_clasp_clasp(capsys, clasp_file):
@@ -415,3 +416,24 @@ def test_file_bounds_exit_2(capsys, monkeypatch, tmp_path, bound, value, text):
     assert code == 2
     assert out == ""
     assert "(line 3, cols 9-" in err
+
+
+def test_fuzz_memory_does_not_grow_with_steps(capsys, tmp_path):
+    # over the cap, the walk only removes kinks from this knot, one a step; a
+    # run that kept every diagram it visits peaked 2.5 times as high at 160
+    import tracemalloc
+
+    kinks = " ".join(f"O{k}{'+-'[k % 2]} U{k}{'+-'[k % 2]}" for k in range(1, 241))
+    path = tmp_path / "kinked.tangle"
+    path.write_text(f"tangle 0 0\ncomponent K closed\nO0+ Ox+ U0+ Ux+ {kinks}\n")
+    peaks = {}
+    for steps in (40, 160):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "fuzz", "-i", str(path), "--steps", str(steps),
+                               "--trials", "1", "--seed", "5")
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and f"moves={steps}" in out
+    assert peaks[160] <= 1.5 * peaks[40], peaks

@@ -22,11 +22,13 @@ from tanglepoly import (
     linking_polynomial,
     long_ordered_polynomial,
     parse,
+    random_walk,
     reverse_component,
     self_crossing_polynomial,
     virtual_linking_number,
     wriggle_number,
 )
+from tanglepoly import invariants
 from tanglepoly.laurent import zero
 from smoothing_oracle import (
     index_from_split,
@@ -392,3 +394,40 @@ def test_long_ordered_matches_oracle():
         d = random_string_link(rng, 1, max_chords=14)
         assert long_ordered_polynomial(d) == slow_long_ordered(d)
         _assert_normal(long_ordered_polynomial(d))
+
+
+def _check_pairs():
+    """Seeded pairs of classical diagrams: each diagram with diagrams one
+    walk away from it, with an unrelated diagram of as many components, and
+    with itself after reversing a component (|index| kept, vlk changed)."""
+    rng = random.Random(113)
+    pairs = []
+    for _ in range(40):
+        d = random_diagram(rng, max_components=6, max_chords=12)
+        pairs += [(d, step) for step in random_walk(d, 12, rng.randrange(1 << 30), cap=16)[1::3]]
+        other = random_diagram(rng, max_components=6, max_chords=12)
+        while len(other.components) != len(d.components):
+            other = random_diagram(rng, max_components=6, max_chords=12)
+        pairs.append((d, other))
+        pairs += [(d, reverse_component(d, comp.cid)) for comp in d.components]
+    links = [link_with_linking_numbers(x, y) for x in range(3) for y in range(3)]
+    pairs += [(left, right) for left in links for right in links]
+    return pairs
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (Fraction(2, 3), -5), (0, 0)])
+def test_normal_form_decides_report_equality(a, b):
+    outcomes = {True: 0, False: 0}
+    vlk_only = 0  # equal psc, different reports: only the vlk matrix tells
+    components = set()
+    for left, right in _check_pairs():
+        same = invariants._normal_form(left) == invariants._normal_form(right)
+        reports = invariant_report(left, a, b), invariant_report(right, a, b)
+        assert same == (reports[0] == reports[1]), (left, right)
+        outcomes[same] += 1
+        vlk_only += reports[0].psc == reports[1].psc and not same
+        components.add(len(left.components))
+        assert invariants._normal_form(left)[1] == reports[0].vlk
+    assert outcomes[True] >= 150 and outcomes[False] >= 150, outcomes
+    assert vlk_only >= 100
+    assert components == {1, 2, 3, 4, 5, 6}

@@ -3,6 +3,7 @@ slide, and invariance of every invariant under every move."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from tanglepoly import (
     self_crossing_polynomial,
     validate,
 )
+from tanglepoly import moves
 from tanglepoly.moves import KinkInsert, PairInsert, PairRemove, TriangleSlide, _triangle_pairs
 from helpers import (
     clasp,
@@ -29,6 +31,7 @@ from helpers import (
     random_diagram,
     virtual_trefoil,
 )
+from rebuild_oracle import kink_remove_sites, pair_remove_sites, triangle_sites
 
 
 def test_kink_insert_sites_on_bare_unknot():
@@ -232,3 +235,49 @@ def test_triangle_sites_complete():
         assert set(sites) == expected
         found += len(sites)
     assert found >= 10
+
+
+def _positive_braid(strands, word):
+    """Positive braid, not closed: generator i crosses the strand at place i
+    over the one at place i + 1, so each i, i + 1, i in the word makes a
+    triangle site."""
+    passages = [[] for _ in range(strands)]
+    place = list(range(strands))  # strand at each place
+    for label, i in enumerate(word, 1):
+        left, right = place[i - 1], place[i]
+        passages[left].append(f"O{label}+")
+        passages[right].append(f"U{label}+")
+        place[i - 1], place[i] = right, left
+    bottom = {strand: at + 1 for at, strand in enumerate(place)}
+    lines = [f"tangle {strands} {strands}"]
+    for strand in range(strands):
+        lines.append(f"component s{strand + 1} long T{strand + 1}:in B{bottom[strand]}:out")
+        lines.append(" ".join(passages[strand]))
+    return parse("\n".join(lines) + "\n")
+
+
+def test_one_scan_matches_rebuild_oracle():
+    rng = random.Random(79)
+    starts = [positive_braid_triangle(), closed_triangle_knot(), virtual_trefoil(),
+              clasp(), identity_braid(3),
+              # a pair and a triangle across a closed component's basepoint
+              parse("tangle 0 0\ncomponent K closed\nO2- U1+ U2- O1+\n"),
+              parse("tangle 0 0\ncomponent K closed\nOY+ UX+ OZ+ UY+ UZ+ OX+\n")]
+    for strands, triples in ((3, 3), (4, 4), (4, 6), (5, 6)):
+        word = []
+        for _ in range(triples):
+            i = rng.randint(1, strands - 2)
+            word += [i, i + 1, i]
+        starts.append(_positive_braid(strands, word))
+    starts += [random_diagram(rng, max_components=4, max_chords=10) for _ in range(15)]
+    found = Counter()
+    for number, start in enumerate(starts):
+        for cap in (8, 24):
+            for d in random_walk(start, 40, seed=97 * number + cap, cap=cap):
+                want = (kink_remove_sites(d), pair_remove_sites(d), triangle_sites(d))
+                assert moves._removal_sites(d) == want
+                assert [enumerate_sites(d, kind) for kind in (
+                    MoveKind.KINK_REMOVE, MoveKind.PAIR_REMOVE,
+                    MoveKind.TRIANGLE_SLIDE)] == list(want)
+                found.update({kind: len(sites) for kind, sites in zip("kpt", want)})
+    assert min(found.values()) >= 1000, found
