@@ -13,10 +13,13 @@ the Gauss-diagram level, where the virtual moves and the detour move act as
 identities.  Orientations are implicit in visit order; component list order
 fixes the variable order t1..tn used by the invariants.
 
-Construction invariant kept by every builder here: a chord's ``end_a`` is the
-endpoint met first in traversal order (components in list order, then
-position).  ``from_tokens`` normalizes arbitrary input into that form, so
-structural equality of canonicalized diagrams is meaningful.
+Construction invariant: a chord's ``end_a`` is the endpoint met first in
+traversal order (components in list order, then position), and chords are
+sorted by it.  ``gaussio.parse`` reads chords in that form; ``from_tokens``
+(diagrams from endpoint tokens: ``connect``, ``gen``) and ``_splice`` (a
+diagram derived from another: every move, ``canonical``,
+``reverse_component``) put any input into it, so structural equality of
+canonicalized diagrams is meaningful.
 """
 
 from __future__ import annotations
@@ -383,106 +386,82 @@ def component_tokens(diagram: TangleDiagram) -> dict[str, list[Token]]:
     return out
 
 
-def _kind_map(diagram: TangleDiagram) -> dict[str, ChordKind]:
-    return {chord.label: chord.kind for chord in diagram.chords}
-
-
-def _rebuild(diagram: TangleDiagram, tokens: Mapping[str, Sequence[Token]],
-             kinds: Mapping[str, ChordKind],
-             boundary: Mapping[str, tuple[BoundaryPoint | None, BoundaryPoint | None]] | None = None,
-             ) -> TangleDiagram:
-    specs = []
-    for comp in diagram.components:
-        start, end = comp.start, comp.end
-        if boundary and comp.cid in boundary:
-            start, end = boundary[comp.cid]
-        specs.append((comp.cid, start, end, tokens[comp.cid]))
-    return from_tokens(diagram.top, diagram.bottom, specs, kinds)
-
-
-def _splice(diagram: TangleDiagram, drop: Iterable[str] = (),
-            inserts: Iterable[tuple[str, int, Sequence[Token]]] = (),
+def _splice(diagram: TangleDiagram, rows: Mapping[str, Iterable[int | Token]],
             kinds: Mapping[str, ChordKind] | None = None) -> TangleDiagram:
-    """The diagram after a local edit, built from the old one instead of
-    from its tokens.
+    """The diagram derived from ``diagram`` by new rows for some components.
 
-    Deletes the chords labelled in ``drop`` and puts the tokens of each
-    insert ``(component id, gap, tokens)`` before visit ``gap`` (gaps index
-    the visits before the edit); ``kinds`` gives the kind of each new chord
-    with its tags as written.  Positions on an edited component move by a
-    monotone map, so every kept chord keeps its end naming and its place in
-    the chord order; a chord none of whose ends moved is reused.  A new
-    chord whose 'b' token comes first in traversal order has its ends
-    renamed and its kind flipped, as ``from_tokens`` does, and goes to its
-    sorted place.
+    A row lists old visit positions of its component and tokens ``(label,
+    tag)`` of new chords; other components keep their visits, and a chord
+    with a visit that no row keeps is deleted.  ``kinds`` gives each new
+    chord's kind for its tags as written, and replaces the kind of any old
+    chord it names.  Chords on rows or in ``kinds`` get ``from_tokens``'
+    form (a chord whose 'b' end comes first is renamed, its kind flipped;
+    chords sorted by ``end_a``); others are reused as they are, so the
+    result has that form for an input in it, or for any input when every
+    component has a row.  The chords are sorted only when those on rows
+    come out of order; a new chord goes to its place.
     """
-    drop = set(drop)
-    removed: dict[str, set[int]] = {}
-    for label in drop:
-        for end in diagram.chord(label).endpoints:
-            removed.setdefault(end.component, set()).add(end.position)
-    added: dict[str, dict[int, Sequence[Token]]] = {}
-    for cid, gap, tokens in inserts:
-        added.setdefault(cid, {})[gap] = tokens
-
+    kinds = kinds or {}
     components = []
-    placed: dict[str, dict[str, Endpoint]] = {}
-    # edited component id -> new position of each old visit (-1: deleted)
+    # key of each component's first visit; a visit's key is its traversal place
+    offset: dict[str, int] = {}
+    # rewritten component id -> new position of each old visit (-1: deleted)
     moved: dict[str, list[int]] = {}
+    placed: dict[str, dict[str, Endpoint]] = {}
+    total = 0
     for comp in diagram.components:
         cid = comp.cid
-        if cid not in removed and cid not in added:
-            components.append(comp)
-            continue
-        gone, extra = removed.get(cid, set()), added.get(cid, {})
-        visits: list[str] = []
-        where = moved[cid] = []
-        start = 0
-        for pos in sorted(gone | extra.keys()):
-            where.extend(range(len(visits), len(visits) + pos - start))
-            visits.extend(comp.visits[start:pos])
-            for label, tag in extra.get(pos, ()):
-                placed.setdefault(label, {})[tag] = Endpoint(cid, len(visits))
-                visits.append(label)
-            if pos in gone:
-                where.append(-1)
-                start = pos + 1
-            else:
-                start = pos
-        where.extend(range(len(visits), len(visits) + len(comp.visits) - start))
-        visits.extend(comp.visits[start:])
-        components.append(Component(cid, tuple(visits), comp.start, comp.end))
+        offset[cid] = total
+        row = rows.get(cid)
+        if row is not None:
+            where = moved[cid] = [-1] * len(comp.visits)
+            for position, item in enumerate(row):
+                if type(item) is int:
+                    where[item] = position
+                else:
+                    placed.setdefault(item[0], {})[item[1]] = Endpoint(cid, position)
+            visits = [comp.visits[item] if type(item) is int else item[0] for item in row]
+            comp = Component(cid, tuple(visits), comp.start, comp.end)
+        components.append(comp)
+        total += len(comp.visits)
 
-    chords = []
+    chords: list[Chord] = []
+    ordered = True
+    last = -1
     for chord in diagram.chords:
-        if chord.label in drop:
-            continue
         end_a, end_b = chord.end_a, chord.end_b
-        where = moved.get(end_a.component)
-        if where is not None and where[end_a.position] != end_a.position:
-            end_a = Endpoint(end_a.component, where[end_a.position])
-        where = moved.get(end_b.component)
-        if where is not None and where[end_b.position] != end_b.position:
-            end_b = Endpoint(end_b.component, where[end_b.position])
-        if end_a is not chord.end_a or end_b is not chord.end_b:
-            chord = Chord(chord.label, end_a, end_b, chord.kind)
+        ca, cb = end_a.component, end_b.component
+        if ca not in moved and cb not in moved and chord.label not in kinds:
+            chords.append(chord)
+            continue
+        if ca in moved and moved[ca][end_a.position] != end_a.position:
+            end_a = Endpoint(ca, moved[ca][end_a.position])
+        if cb in moved and moved[cb][end_b.position] != end_b.position:
+            end_b = Endpoint(cb, moved[cb][end_b.position])
+        pa, pb = end_a.position, end_b.position
+        if pa < 0 or pb < 0:
+            continue
+        kind = kinds.get(chord.label, chord.kind)
+        key_a, key_b = offset[ca] + pa, offset[cb] + pb
+        if key_b < key_a:
+            end_a, end_b, key_a = end_b, end_a, key_b
+            kind = _flip_kind(kind)
+        if end_a is not chord.end_a or end_b is not chord.end_b or kind is not chord.kind:
+            chord = Chord(chord.label, end_a, end_b, kind)
+        ordered = ordered and last < key_a
+        last = key_a
         chords.append(chord)
 
-    if placed:
-        order = {comp.cid: k for k, comp in enumerate(diagram.components)}
-        # the chord order's sort key of each chord, built once for bisecting
-        keys = [(order[chord.end_a.component], chord.end_a.position) for chord in chords]
-        for label, ends in placed.items():
-            end_a, end_b = ends["a"], ends["b"]
-            kind = kinds[label]  # type: ignore[index]
-            key_a = (order[end_a.component], end_a.position)
-            key_b = (order[end_b.component], end_b.position)
-            if key_b < key_a:
-                end_a, end_b, key_a = end_b, end_a, key_b
-                kind = _flip_kind(kind)
-            at = bisect(keys, key_a)
-            keys.insert(at, key_a)
-            chords.insert(at, Chord(label, end_a, end_b, kind))
+    def key(chord: Chord) -> int:
+        return offset[chord.end_a.component] + chord.end_a.position
+
+    for label, ends in placed.items():
+        chord = Chord(label, ends["a"], ends["b"], kinds[label])
+        if key(chord) > offset[chord.end_b.component] + chord.end_b.position:
+            chord = Chord(label, chord.end_b, chord.end_a, _flip_kind(chord.kind))
+        chords.insert(bisect(chords, key(chord), key=key) if ordered else len(chords), chord)
+    if not ordered:
+        chords.sort(key=key)
     return TangleDiagram(diagram.top, diagram.bottom, tuple(components), tuple(chords))
 
 
@@ -499,28 +478,23 @@ def reverse_component(diagram: TangleDiagram, cid: str) -> TangleDiagram:
     (singular): re-orienting exactly one strand of a crossing negates it.
     """
     target = diagram.component(cid)
-    tokens = component_tokens(diagram)
-    tokens[cid] = list(reversed(tokens[cid]))
-
-    kinds = _kind_map(diagram)
+    kinds: dict[str, ChordKind] = {}
     for chord in diagram.chords:
-        on_target = sum(1 for end in chord.endpoints if end.component == cid)
-        if on_target != 1:
-            continue
-        kind = chord.kind
-        if isinstance(kind, Classical):
-            kinds[chord.label] = Classical(-kind.sign, kind.over)
-        else:
-            kinds[chord.label] = Singular(-kind.frame)
-
-    boundary = None
-    if target.is_long:
-        assert target.start is not None and target.end is not None
-        boundary = {cid: (
-            BoundaryPoint(target.end.side, target.end.index, Direction.IN),
-            BoundaryPoint(target.start.side, target.start.index, Direction.OUT),
-        )}
-    return _rebuild(diagram, tokens, kinds, boundary)
+        if (chord.end_a.component == cid) != (chord.end_b.component == cid):
+            kind = chord.kind
+            kinds[chord.label] = (Classical(-kind.sign, kind.over) if isinstance(kind, Classical)
+                                  else Singular(-kind.frame))
+    # a row for every component, so that every chord is normalized
+    rows = {comp.cid: range(len(comp.visits)) for comp in diagram.components}
+    rows[cid] = range(len(target.visits) - 1, -1, -1)
+    turned = _splice(diagram, rows, kinds)
+    if target.start is None or target.end is None:
+        return turned
+    start = BoundaryPoint(target.end.side, target.end.index, Direction.IN)
+    end = BoundaryPoint(target.start.side, target.start.index, Direction.OUT)
+    components = tuple(Component(cid, comp.visits, start, end) if comp.cid == cid else comp
+                       for comp in turned.components)
+    return TangleDiagram(diagram.top, diagram.bottom, components, turned.chords)
 
 
 # ── Equality ──────────────────────────────────────────────────────────────
@@ -543,17 +517,17 @@ def canonical(diagram: TangleDiagram) -> TangleDiagram:
     the smaller ``_kind_key``: the over passage of a classical chord, the
     passage at which the frame of a singular chord reads -1.
     """
-    tokens = component_tokens(diagram)
-    kinds = _kind_map(diagram)
+    rows: dict[str, list[int]] = {}
     for comp in diagram.components:
-        row = tokens[comp.cid]
-        if comp.is_closed and row:
-            first = min(label for label, _tag in row)
-            kind = kinds[first]
-            r = min((i for i, (label, _tag) in enumerate(row) if label == first),
-                    key=lambda i: _kind_key(kind if row[i][1] == "a" else _flip_kind(kind)))
-            tokens[comp.cid] = row[r:] + row[:r]
-    return _rebuild(diagram, tokens, kinds)
+        r = 0
+        if comp.is_closed and comp.visits:
+            chord = diagram.chord(min(comp.visits))
+            r = min((end for end in chord.endpoints if end.component == comp.cid),
+                    key=lambda end: _kind_key(
+                        chord.kind if end is chord.end_a else _flip_kind(chord.kind))).position
+        # a row for every component, so that every chord is normalized
+        rows[comp.cid] = [*range(r, len(comp.visits)), *range(r)]
+    return _splice(diagram, rows)
 
 
 def equal_diagrams(left: TangleDiagram, right: TangleDiagram) -> bool:

@@ -116,19 +116,18 @@ class LaurentPoly:
                 merged[exps] = total
             else:
                 merged.pop(exps, None)
-        return LaurentPoly(self._nvars, merged)
+        return LaurentPoly._from_normal(self._nvars, merged)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self._nvars, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._from_normal(self._nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def scale(self, factor: RationalLike) -> "LaurentPoly":
         f = as_fraction(factor)
-        if not f:
-            return LaurentPoly(self._nvars)
-        return LaurentPoly(self._nvars, {e: c * f for e, c in self._terms.items()})
+        terms = {e: c * f for e, c in self._terms.items()} if f else {}
+        return LaurentPoly._from_normal(self._nvars, terms)
 
     def eval_at_ones(self) -> Fraction:
         """Value after substituting 1 for every variable (sum of coefficients)."""
@@ -141,6 +140,8 @@ class LaurentPoly:
         exponents of variables mapped to the same position add up.  Every
         position carrying a nonzero exponent must be mapped.
         """
+        if new_nvars < 0:
+            raise ValueError("variable count must be nonnegative")
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
             new = [0] * new_nvars
@@ -156,7 +157,7 @@ class LaurentPoly:
                 out[key] = total
             else:
                 out.pop(key, None)
-        return LaurentPoly(new_nvars, out)
+        return LaurentPoly._from_normal(new_nvars, out)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         return sorted(self._terms.items(), key=lambda item: _term_sort_key(item[0]))

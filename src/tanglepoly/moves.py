@@ -31,22 +31,23 @@ once the chord count reaches the configured cap, and never changes any of
 the polynomial or linking invariants.  ``iter_walk`` yields its diagrams one
 at a time and keeps only the current one; ``random_walk`` lists them.
 
-A move costs about what it touches.  Kink and pair moves splice the new
-diagram out of the old one (``diagram._splice``): positions on the edited
-components shift and every chord whose ends did not move is reused.  The
-triangle slide still rebuilds the diagram from its tokens: its swaps can
-cross a closed component's basepoint and rename chord ends.  A removal
-site is checked on its own chords (``_is_kink``, ``_is_removable_pair``,
-``_triangle_pairs``).  One scan (``_removal_sites``) lists the sites of all
-three removal kinds with the same adjacency test; ``enumerate_sites``
-returns its lists, and the walk reads from it, once per step, which kinds
-have a site and the drawn kind's list.
+A move costs about what it touches.  Every move splices the new diagram
+out of the old one (``diagram._splice``) from new rows of the components it
+edits: a chord whose ends did not move is reused, and one whose ends a
+triangle slide swaps across a closed component's basepoint is renamed.  A
+removal site is checked on its own chords (``_is_kink``,
+``_is_removable_pair``, ``_triangle_pairs``).  One scan
+(``_removal_sites``) lists the sites of all three removal kinds with the
+same adjacency test; ``enumerate_sites`` returns its lists, and the walk
+reads from it, once per step, which kinds have a site and the drawn kind's
+list.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from enum import Enum
 from typing import Iterator
 
@@ -57,10 +58,9 @@ from .diagram import (
     Endpoint,
     TangleDiagram,
     TangleError,
-    _kind_map,
-    _rebuild,
+    Token,
     _splice,
-    component_tokens,
+    component_tokens,  # noqa: F401  unused here, but bench/spans.py wraps it in this module
 )
 
 
@@ -187,6 +187,29 @@ def _component(diagram: TangleDiagram, cid: str) -> Component:
         raise MoveError(str(exc)) from exc
 
 
+def _insert(diagram: TangleDiagram, inserts: list[tuple[str, int, list[Token]]],
+            kinds: dict[str, Classical]) -> TangleDiagram:
+    """The diagram with the tokens of each insert ``(component id, gap,
+    tokens)`` put before old visit ``gap``."""
+    rows: dict[str, list] = {}
+    # the higher gap first, so that a lower one on the same row stays put
+    for cid, gap, tokens in sorted(inserts, key=itemgetter(1), reverse=True):
+        rows.setdefault(cid, list(range(len(diagram.component(cid).visits))))[gap:gap] = tokens
+    return _splice(diagram, rows, kinds)
+
+
+def _delete(diagram: TangleDiagram, *chords: Chord) -> TangleDiagram:
+    """The diagram without the given chords."""
+    rows: dict[str, list] = {}
+    # the higher position first, so that a lower one on the same row stays put
+    for end in sorted([end for chord in chords for end in chord.endpoints],
+                      key=attrgetter("position"), reverse=True):
+        if end.component not in rows:
+            rows[end.component] = list(range(len(diagram.component(end.component).visits)))
+        del rows[end.component][end.position]
+    return _splice(diagram, rows)
+
+
 # ── Kink moves ────────────────────────────────────────────────────────────
 
 
@@ -205,8 +228,8 @@ def _apply_kink_insert(diagram: TangleDiagram, site: KinkInsert) -> TangleDiagra
     if site.sign not in (1, -1) or site.over_end not in ("a", "b"):
         raise MoveError("bad kink parameters")
     label = _fresh_labels(diagram, 1)[0]
-    return _splice(diagram, inserts=[(site.component, site.gap, [(label, "a"), (label, "b")])],
-                   kinds={label: Classical(site.sign, site.over_end)})
+    return _insert(diagram, [(site.component, site.gap, [(label, "a"), (label, "b")])],
+                   {label: Classical(site.sign, site.over_end)})
 
 
 def _is_kink(diagram: TangleDiagram, chord: Chord) -> bool:
@@ -218,7 +241,7 @@ def _apply_kink_remove(diagram: TangleDiagram, site: KinkRemove) -> TangleDiagra
     chord = diagram._chord_index.get(site.label)
     if chord is None or not _is_kink(diagram, chord):
         raise MoveError(f"chord {site.label!r} is not a removable kink")
-    return _splice(diagram, drop=[site.label])
+    return _delete(diagram, chord)
 
 
 # ── Pair moves ────────────────────────────────────────────────────────────
@@ -251,10 +274,10 @@ def _apply_pair_insert(diagram: TangleDiagram, site: PairInsert) -> TangleDiagra
     under_pair = [(first, "b"), (second, "b")]
     if site.antiparallel:
         under_pair.reverse()
-    return _splice(diagram, inserts=[(*site.over_gap, [(first, "a"), (second, "a")]),
-                                     (*site.under_gap, under_pair)],
-                   kinds={first: Classical(site.lead_sign, "a"),
-                          second: Classical(-site.lead_sign, "a")})
+    return _insert(diagram, [(*site.over_gap, [(first, "a"), (second, "a")]),
+                             (*site.under_gap, under_pair)],
+                   {first: Classical(site.lead_sign, "a"),
+                    second: Classical(-site.lead_sign, "a")})
 
 
 def _is_removable_pair(diagram: TangleDiagram, first: Chord, second: Chord) -> bool:
@@ -275,7 +298,7 @@ def _apply_pair_remove(diagram: TangleDiagram, site: PairRemove) -> TangleDiagra
     if first is None or second is None or not _is_removable_pair(diagram, first, second):
         raise MoveError(f"chords {site.first!r}, {site.second!r} do not form a "
                         "removable pair")
-    return _splice(diagram, drop=[site.first, site.second])
+    return _delete(diagram, first, second)
 
 
 # ── Triangle move ─────────────────────────────────────────────────────────
@@ -331,11 +354,11 @@ def _apply_triangle(diagram: TangleDiagram, site: TriangleSlide) -> TangleDiagra
     pairs = _triangle_pairs(diagram, site)
     if pairs is None:
         raise MoveError(f"triangle {site.x!r}/{site.y!r}/{site.z!r} is not present")
-    tokens = component_tokens(diagram)
+    rows = {cid: list(range(len(diagram.component(cid).visits))) for cid, _lo, _hi in pairs}
     for cid, lo, hi in pairs:
-        row = tokens[cid]
+        row = rows[cid]
         row[lo], row[hi] = row[hi], row[lo]
-    return _rebuild(diagram, tokens, _kind_map(diagram))
+    return _splice(diagram, rows)
 
 
 # ── Removal sites ─────────────────────────────────────────────────────────

@@ -1,19 +1,31 @@
-"""Slow reference for the kink and pair moves and the random walk.
+"""Slow reference for the moves, the random walk and orientation reversal.
 
-``moves`` splices a moved diagram out of the old one and checks a removal
-site on its own chords.  This module keeps what that replaces, as a test
-oracle: every kink and pair move rebuilds the whole diagram from its
-endpoint tokens through ``from_tokens``, a removal site is checked by
-listing every site of its kind, and the walk lists every site of the three
-removal kinds on each step.
+``moves`` and ``reverse_component`` splice the new diagram out of the old
+one (``diagram._splice``), and ``moves`` checks a removal site on its own
+chords.  This module keeps what that replaces, as a test oracle: every move
+and every reversal rebuilds the whole diagram from its endpoint tokens
+through ``from_tokens``, a removal site is checked by listing every site of
+its kind, and the walk lists every site of the three removal kinds on each
+step.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Mapping, Sequence
 
 from tanglepoly import TangleDiagram
-from tanglepoly.diagram import Classical, TangleError, _kind_map, _rebuild, component_tokens
+from tanglepoly.diagram import (
+    BoundaryPoint,
+    ChordKind,
+    Classical,
+    Direction,
+    Singular,
+    TangleError,
+    Token,
+    component_tokens,
+    from_tokens,
+)
 from tanglepoly.moves import (
     _WALK_WEIGHTS,
     KinkInsert,
@@ -25,13 +37,55 @@ from tanglepoly.moves import (
     PairRemove,
     TriangleSlide,
     _all_gaps,
-    _apply_triangle,
     _fresh_labels,
     _gaps,
     _next_pos,
     _prev_pos,
     _triangle_pairs,
 )
+
+
+def kind_map(diagram: TangleDiagram) -> dict[str, ChordKind]:
+    return {chord.label: chord.kind for chord in diagram.chords}
+
+
+def rebuild(diagram: TangleDiagram, tokens: Mapping[str, Sequence[Token]],
+            kinds: Mapping[str, ChordKind],
+            boundary: Mapping[str, tuple[BoundaryPoint | None, BoundaryPoint | None]]
+            | None = None) -> TangleDiagram:
+    """``diagram`` with each component's tokens (and boundary points, where
+    ``boundary`` names the component) replaced, through ``from_tokens``."""
+    specs = []
+    for comp in diagram.components:
+        start, end = comp.start, comp.end
+        if boundary and comp.cid in boundary:
+            start, end = boundary[comp.cid]
+        specs.append((comp.cid, start, end, tokens[comp.cid]))
+    return from_tokens(diagram.top, diagram.bottom, specs, kinds)
+
+
+def reverse_by_rebuild(diagram: TangleDiagram, cid: str) -> TangleDiagram:
+    """``reverse_component`` with the reversed diagram rebuilt from tokens."""
+    target = diagram.component(cid)
+    tokens = component_tokens(diagram)
+    tokens[cid] = list(reversed(tokens[cid]))
+    kinds = kind_map(diagram)
+    for chord in diagram.chords:
+        on_target = sum(1 for end in chord.endpoints if end.component == cid)
+        if on_target != 1:
+            continue
+        kind = chord.kind
+        if isinstance(kind, Classical):
+            kinds[chord.label] = Classical(-kind.sign, kind.over)
+        else:
+            kinds[chord.label] = Singular(-kind.frame)
+    boundary = None
+    if target.is_long:
+        boundary = {cid: (
+            BoundaryPoint(target.end.side, target.end.index, Direction.IN),
+            BoundaryPoint(target.start.side, target.start.index, Direction.OUT),
+        )}
+    return rebuild(diagram, tokens, kinds, boundary)
 
 
 def _adjacent(comp, first: int, second: int) -> bool:
@@ -110,8 +164,8 @@ def _delete_chords(diagram: TangleDiagram, labels: set[str]) -> TangleDiagram:
         cid: [tok for tok in row if tok[0] not in labels]
         for cid, row in tokens.items()
     }
-    kinds = {lab: kind for lab, kind in _kind_map(diagram).items() if lab not in labels}
-    return _rebuild(diagram, pruned, kinds)
+    kinds = {lab: kind for lab, kind in kind_map(diagram).items() if lab not in labels}
+    return rebuild(diagram, pruned, kinds)
 
 
 def _kink_insert(diagram: TangleDiagram, site: KinkInsert) -> TangleDiagram:
@@ -127,9 +181,9 @@ def _kink_insert(diagram: TangleDiagram, site: KinkInsert) -> TangleDiagram:
     tokens = component_tokens(diagram)
     row = tokens[site.component]
     tokens[site.component] = row[:site.gap] + [(label, "a"), (label, "b")] + row[site.gap:]
-    kinds = _kind_map(diagram)
+    kinds = kind_map(diagram)
     kinds[label] = Classical(site.sign, site.over_end)
-    return _rebuild(diagram, tokens, kinds)
+    return rebuild(diagram, tokens, kinds)
 
 
 def _kink_remove(diagram: TangleDiagram, site: KinkRemove) -> TangleDiagram:
@@ -163,10 +217,10 @@ def _pair_insert(diagram: TangleDiagram, site: PairInsert) -> TangleDiagram:
     for (cid, gap), pair in inserts:
         row = tokens[cid]
         tokens[cid] = row[:gap] + pair + row[gap:]
-    kinds = _kind_map(diagram)
+    kinds = kind_map(diagram)
     kinds[first] = Classical(site.lead_sign, "a")
     kinds[second] = Classical(-site.lead_sign, "a")
-    return _rebuild(diagram, tokens, kinds)
+    return rebuild(diagram, tokens, kinds)
 
 
 def _pair_remove(diagram: TangleDiagram, site: PairRemove) -> TangleDiagram:
@@ -176,12 +230,23 @@ def _pair_remove(diagram: TangleDiagram, site: PairRemove) -> TangleDiagram:
     return _delete_chords(diagram, {site.first, site.second})
 
 
+def _triangle(diagram: TangleDiagram, site: TriangleSlide) -> TangleDiagram:
+    pairs = _triangle_pairs(diagram, site)
+    if pairs is None:
+        raise MoveError(f"triangle {site.x!r}/{site.y!r}/{site.z!r} is not present")
+    tokens = component_tokens(diagram)
+    for cid, lo, hi in pairs:
+        row = tokens[cid]
+        row[lo], row[hi] = row[hi], row[lo]
+    return rebuild(diagram, tokens, kind_map(diagram))
+
+
 _APPLIERS = {
     KinkInsert: _kink_insert,
     KinkRemove: _kink_remove,
     PairInsert: _pair_insert,
     PairRemove: _pair_remove,
-    TriangleSlide: _apply_triangle,
+    TriangleSlide: _triangle,
 }
 
 _LISTS = {
@@ -192,7 +257,7 @@ _LISTS = {
 
 
 def apply_by_rebuild(diagram: TangleDiagram, site: MoveSite) -> TangleDiagram:
-    """``moves.apply`` with every kink and pair move rebuilt from tokens."""
+    """``moves.apply`` with every move rebuilt from tokens."""
     return _APPLIERS[type(site)](diagram, site)
 
 

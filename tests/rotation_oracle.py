@@ -11,15 +11,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from tanglepoly import TangleDiagram
-from tanglepoly.diagram import (
-    Component,
-    Token,
-    _flip_kind,
-    _kind_key,
-    _kind_map,
-    _rebuild,
-    component_tokens,
-)
+from tanglepoly.diagram import Component, Token, _flip_kind, _kind_key, component_tokens
+from rebuild_oracle import kind_map, rebuild
 
 
 def _best_rotation(diagram: TangleDiagram, comp: Component,
@@ -70,4 +63,4 @@ def canonical_by_search(diagram: TangleDiagram) -> TangleDiagram:
             if r:
                 row = tokens[comp.cid]
                 tokens[comp.cid] = row[r:] + row[:r]
-    return _rebuild(diagram, tokens, _kind_map(diagram))
+    return rebuild(diagram, tokens, kind_map(diagram))

@@ -21,6 +21,7 @@ from tanglepoly import (
     reverse_component,
     validate,
 )
+from tanglepoly.diagram import _flip_kind
 from helpers import clasp, random_diagram, virtual_trefoil
 
 
@@ -129,12 +130,29 @@ def test_rotation_equality_on_kink_circle():
     assert equal_diagrams(a, b)
 
 
+def _unnormalised(rng, diagram):
+    """``diagram`` as a hand-built one may come: its chords shuffled, and
+    some chords' ends swapped with the kind flipped to match."""
+    chords = [Chord(c.label, c.end_b, c.end_a, _flip_kind(c.kind)) if rng.random() < 0.5 else c
+              for c in diagram.chords]
+    rng.shuffle(chords)
+    return TangleDiagram(diagram.top, diagram.bottom, diagram.components, tuple(chords))
+
+
 def test_reverse_twice_is_identity():
+    from rebuild_oracle import reverse_by_rebuild
+
     rng = random.Random(11)
-    for _ in range(25):
-        d = random_diagram(rng, n_singular=rng.randint(0, 2))
-        cid = rng.choice(d.component_ids())
-        assert equal_diagrams(reverse_component(reverse_component(d, cid), cid), d)
+    for _ in range(400):
+        d = random_diagram(rng, max_components=4, max_chords=12,
+                           n_singular=rng.randint(0, 2))
+        for start in (d, _unnormalised(rng, d)):
+            cid = rng.choice(start.component_ids())
+            once = reverse_component(start, cid)
+            assert equal_diagrams(reverse_component(once, cid), start)
+            # the splice normalises as a rebuild from tokens does
+            assert once == reverse_by_rebuild(start, cid), start
+            assert repr(once) == repr(reverse_by_rebuild(start, cid))
 
 
 def test_reverse_unknown_component():
@@ -252,6 +270,12 @@ def test_canonical_matches_rotation_search():
         inputs.append(random_diagram(rng, max_components=4, max_chords=12,
                                      n_singular=rng.randint(0, 3),
                                      allow_long=i % 2 == 1))
+    small = len(inputs)
     inputs += [_closed_link(rng, 4, 800, singular) for singular in (0, 1, 3)]
+    # hand-built copies that are not normalised; one large one, since the
+    # search is quadratic
+    inputs += [_unnormalised(rng, d) for d in inputs[:small] + inputs[-1:]]
     for d in inputs:
-        assert canonical(d) == canonical_by_search(d), d
+        got, want = canonical(d), canonical_by_search(d)
+        assert got == want, d
+        assert repr(got) == repr(want)

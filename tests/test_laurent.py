@@ -81,6 +81,8 @@ def test_remap_variables_merges_exponents():
     assert q.remap_variables({0: 1, 1: 0}, 2) == mono(2, (0, 1)) + mono(3, (1, 0))
     with pytest.raises(ValueError):
         p.remap_variables({0: 0}, 1)
+    with pytest.raises(ValueError):
+        mono(1, (0, 0)).remap_variables({}, -1)
 
 
 # ── canonical-text parser used only to check render injectivity ──────────
@@ -121,6 +123,13 @@ def test_ring_laws(p, q, r):
     assert (p + q).scale(Fraction(3, 2)) == p.scale(Fraction(3, 2)) + q.scale(Fraction(3, 2))
     assert (p + p.scale(-1)).is_zero()
     assert p - p == zero(2)
+    # results skip the validating constructor, so their terms must be normal
+    for result in (p + q, -p, p - q, p.scale(Fraction(-2, 3)), p.scale(0),
+                   p.remap_variables({0: 0, 1: 0}, 1), p.remap_variables({0: 1, 1: 0}, 3)):
+        assert result == LaurentPoly(result.nvars, result.terms)
+        for exps, coeff in result.items():
+            assert len(exps) == result.nvars and all(type(e) is int for e in exps)
+            assert type(coeff) is Fraction and coeff
 
 
 @given(polys(3))

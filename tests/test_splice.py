@@ -1,5 +1,5 @@
-"""Spliced kink and pair moves against the token-rebuild oracle, and the
-local checks of a removal site."""
+"""Spliced moves against the token-rebuild oracle, and the local checks of
+a removal site."""
 
 import random
 from collections import Counter
@@ -14,7 +14,7 @@ from tanglepoly import (
     random_walk,
     validate,
 )
-from tanglepoly import moves
+from tanglepoly import canonical, diagram as diagram_module, moves, reverse_component
 from tanglepoly.moves import KinkInsert, KinkRemove, PairInsert, PairRemove
 from helpers import (
     clasp,
@@ -71,6 +71,30 @@ def test_walks_match_rebuild_oracle(monkeypatch):
             kinds.update(type(site).__name__ for site in applied)
     assert set(kinds) == {"KinkInsert", "KinkRemove", "PairInsert", "PairRemove",
                           "TriangleSlide"}, kinds
+
+
+def test_splice_builds_without_tokens(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built from tokens")
+
+    for owner in (diagram_module, moves):
+        monkeypatch.setattr(owner, "component_tokens", refuse)
+    monkeypatch.setattr(diagram_module, "from_tokens", refuse)
+    applied = Counter()
+    real_apply = moves.apply
+
+    def spy(diagram, site):
+        applied[type(site).__name__] += 1
+        return real_apply(diagram, site)
+
+    monkeypatch.setattr(moves, "apply", spy)
+    for number, start in enumerate(_walk_starts()):
+        for d in random_walk(start, 30, seed=number, cap=12):
+            canonical(d)
+            for cid in d.component_ids():
+                reverse_component(d, cid)
+    assert set(applied) == {"KinkInsert", "KinkRemove", "PairInsert", "PairRemove",
+                            "TriangleSlide"}, applied
 
 
 # the virtual trefoil has no removal site; with the kinks on it removed, a
