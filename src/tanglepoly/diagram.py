@@ -15,16 +15,16 @@ fixes the variable order t1..tn used by the invariants.
 
 Construction invariant: a chord's ``end_a`` is the endpoint met first in
 traversal order (components in list order, then position), and chords are
-sorted by it.  ``gaussio.parse`` reads chords in that form; ``from_tokens``
-(diagrams from endpoint tokens: ``connect``, ``gen``) and ``_splice`` (a
-diagram derived from another: every move, ``canonical``,
-``reverse_component``) put any input into it, so structural equality of
-canonicalized diagrams is meaningful.
+sorted by it.  ``gaussio.parse`` reads chords in that form.  ``_splice`` is
+the one builder that puts any other input into it: it builds each diagram
+derived from another (every move, ``canonical``, ``reverse_component``) and,
+through ``from_tokens``, each diagram assembled from endpoint tokens
+(``connect``, ``gen``), so structural equality of canonicalized diagrams is
+meaningful.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -332,39 +332,13 @@ def from_tokens(top: int, bottom: int, components: Iterable[ComponentSpec],
     tag 'b'.  Ends are renamed if needed so that end_a is traversed first.
     """
     specs = list(components)
-    comp_order = {spec[0]: i for i, spec in enumerate(specs)}
-    ends: dict[str, dict[str, Endpoint]] = {}
+    rows: dict[str, Sequence[Token]] = {}
     for cid, _start, _end, tokens in specs:
-        for position, (label, tag) in enumerate(tokens):
-            if tag not in ("a", "b"):
-                raise DiagramError(f"bad end tag {tag!r} for chord {label!r}")
-            slot = ends.setdefault(label, {})
-            if tag in slot:
-                raise DiagramError(f"chord {label!r} has two {tag!r} endpoints")
-            slot[tag] = Endpoint(cid, position)
-
-    chords: list[Chord] = []
-    for label, slot in ends.items():
-        if set(slot) != {"a", "b"}:
-            raise DiagramError(f"chord {label!r} is missing an endpoint")
-        if label not in kinds:
-            raise DiagramError(f"no kind given for chord {label!r}")
-        end_a, end_b = slot["a"], slot["b"]
-        kind = kinds[label]
-        key_a = (comp_order[end_a.component], end_a.position)
-        key_b = (comp_order[end_b.component], end_b.position)
-        if key_b < key_a:
-            end_a, end_b = end_b, end_a
-            kind = _flip_kind(kind)
-        chords.append(Chord(label, end_a, end_b, kind))
-    # deterministic order: first traversed endpoint
-    chords.sort(key=lambda c: (comp_order[c.end_a.component], c.end_a.position))
-
-    built = tuple(
-        Component(cid, tuple(label for label, _tag in tokens), start, end)
-        for cid, start, end, tokens in specs
-    )
-    return TangleDiagram(top, bottom, built, tuple(chords))
+        if cid in rows:
+            raise DiagramError(f"component id {cid!r} repeated")
+        rows[cid] = tokens
+    skeleton = tuple(Component(cid, (), start, end) for cid, start, end, _tokens in specs)
+    return _splice(TangleDiagram(top, bottom, skeleton, ()), rows, kinds)
 
 
 def component_tokens(diagram: TangleDiagram) -> dict[str, list[Token]]:
@@ -390,16 +364,19 @@ def _splice(diagram: TangleDiagram, rows: Mapping[str, Iterable[int | Token]],
             kinds: Mapping[str, ChordKind] | None = None) -> TangleDiagram:
     """The diagram derived from ``diagram`` by new rows for some components.
 
-    A row lists old visit positions of its component and tokens ``(label,
-    tag)`` of new chords; other components keep their visits, and a chord
-    with a visit that no row keeps is deleted.  ``kinds`` gives each new
-    chord's kind for its tags as written, and replaces the kind of any old
-    chord it names.  Chords on rows or in ``kinds`` get ``from_tokens``'
-    form (a chord whose 'b' end comes first is renamed, its kind flipped;
-    chords sorted by ``end_a``); others are reused as they are, so the
-    result has that form for an input in it, or for any input when every
-    component has a row.  The chords are sorted only when those on rows
-    come out of order; a new chord goes to its place.
+    This is the one builder that puts chords into normal form; every move,
+    ``canonical``, ``reverse_component`` and ``from_tokens`` (a diagram of
+    empty components given a row each) call it.  A row lists old visit
+    positions of its component and tokens ``(label, tag)`` of new chords,
+    each label once with tag 'a' and once with tag 'b'; other components
+    keep their visits, and a chord with a visit that no row keeps is
+    deleted.  ``kinds`` gives each new chord's kind for its tags as
+    written, and replaces the kind of any old chord it names.  Chords on
+    rows or in ``kinds`` are renamed, their kind flipped, when their 'b'
+    end comes first; others are reused as they are, so the result is in
+    normal form for an input in it, or for any input when every component
+    has a row.  The chords are appended in order and sorted by ``end_a``
+    once, only when they come out of order.
     """
     kinds = kinds or {}
     components = []
@@ -407,6 +384,7 @@ def _splice(diagram: TangleDiagram, rows: Mapping[str, Iterable[int | Token]],
     offset: dict[str, int] = {}
     # rewritten component id -> new position of each old visit (-1: deleted)
     moved: dict[str, list[int]] = {}
+    # new chord label -> its end for each tag
     placed: dict[str, dict[str, Endpoint]] = {}
     total = 0
     for comp in diagram.components:
@@ -418,50 +396,63 @@ def _splice(diagram: TangleDiagram, rows: Mapping[str, Iterable[int | Token]],
             for position, item in enumerate(row):
                 if type(item) is int:
                     where[item] = position
-                else:
-                    placed.setdefault(item[0], {})[item[1]] = Endpoint(cid, position)
+                    continue
+                label, tag = item
+                ends = placed.setdefault(label, {})
+                if tag not in ("a", "b"):
+                    raise DiagramError(f"bad end tag {tag!r} for chord {label!r}")
+                if tag in ends:
+                    raise DiagramError(f"chord {label!r} has two {tag!r} endpoints")
+                ends[tag] = Endpoint(cid, position)
             visits = [comp.visits[item] if type(item) is int else item[0] for item in row]
             comp = Component(cid, tuple(visits), comp.start, comp.end)
         components.append(comp)
         total += len(comp.visits)
 
     chords: list[Chord] = []
+    # the chords are sorted while each key_a exceeds the last one's
     ordered = True
     last = -1
     for chord in diagram.chords:
         end_a, end_b = chord.end_a, chord.end_b
         ca, cb = end_a.component, end_b.component
         if ca not in moved and cb not in moved and chord.label not in kinds:
-            chords.append(chord)
-            continue
-        if ca in moved and moved[ca][end_a.position] != end_a.position:
-            end_a = Endpoint(ca, moved[ca][end_a.position])
-        if cb in moved and moved[cb][end_b.position] != end_b.position:
-            end_b = Endpoint(cb, moved[cb][end_b.position])
-        pa, pb = end_a.position, end_b.position
-        if pa < 0 or pb < 0:
-            continue
-        kind = kinds.get(chord.label, chord.kind)
-        key_a, key_b = offset[ca] + pa, offset[cb] + pb
-        if key_b < key_a:
-            end_a, end_b, key_a = end_b, end_a, key_b
-            kind = _flip_kind(kind)
-        if end_a is not chord.end_a or end_b is not chord.end_b or kind is not chord.kind:
-            chord = Chord(chord.label, end_a, end_b, kind)
+            key_a = offset[ca] + end_a.position
+        else:
+            if ca in moved and moved[ca][end_a.position] != end_a.position:
+                end_a = Endpoint(ca, moved[ca][end_a.position])
+            if cb in moved and moved[cb][end_b.position] != end_b.position:
+                end_b = Endpoint(cb, moved[cb][end_b.position])
+            pa, pb = end_a.position, end_b.position
+            if pa < 0 or pb < 0:
+                continue
+            kind = kinds.get(chord.label, chord.kind)
+            key_a, key_b = offset[ca] + pa, offset[cb] + pb
+            if key_b < key_a:
+                end_a, end_b, key_a = end_b, end_a, key_b
+                kind = _flip_kind(kind)
+            if end_a is not chord.end_a or end_b is not chord.end_b or kind is not chord.kind:
+                chord = Chord(chord.label, end_a, end_b, kind)
         ordered = ordered and last < key_a
         last = key_a
         chords.append(chord)
 
-    def key(chord: Chord) -> int:
-        return offset[chord.end_a.component] + chord.end_a.position
-
     for label, ends in placed.items():
-        chord = Chord(label, ends["a"], ends["b"], kinds[label])
-        if key(chord) > offset[chord.end_b.component] + chord.end_b.position:
-            chord = Chord(label, chord.end_b, chord.end_a, _flip_kind(chord.kind))
-        chords.insert(bisect(chords, key(chord), key=key) if ordered else len(chords), chord)
+        if len(ends) != 2:
+            raise DiagramError(f"chord {label!r} is missing an endpoint")
+        if label not in kinds:
+            raise DiagramError(f"no kind given for chord {label!r}")
+        end_a, end_b, kind = ends["a"], ends["b"], kinds[label]
+        key_a = offset[end_a.component] + end_a.position
+        key_b = offset[end_b.component] + end_b.position
+        if key_b < key_a:
+            end_a, end_b, key_a = end_b, end_a, key_b
+            kind = _flip_kind(kind)
+        ordered = ordered and last < key_a
+        last = key_a
+        chords.append(Chord(label, end_a, end_b, kind))
     if not ordered:
-        chords.sort(key=key)
+        chords.sort(key=lambda chord: offset[chord.end_a.component] + chord.end_a.position)
     return TangleDiagram(diagram.top, diagram.bottom, tuple(components), tuple(chords))
 
 

@@ -304,54 +304,38 @@ def _apply_pair_remove(diagram: TangleDiagram, site: PairRemove) -> TangleDiagra
 # ── Triangle move ─────────────────────────────────────────────────────────
 
 
-def _triangle_pairs(diagram: TangleDiagram, site: TriangleSlide,
+def _triangle_pairs(diagram: TangleDiagram, x: Chord, y: Chord, z: Chord, forward: bool,
                     ) -> list[tuple[str, int, int]] | None:
-    """Locate the three adjacent pairs of a triangle site on the current
-    diagram; None when the pattern is absent.
+    """The three adjacent pairs ``(component id, position, position after
+    it)`` of the triangle on chords x, y, z; None when the pattern is absent.
 
     Forward pattern: over(x) followed by over(y); under(x) followed by
     over(z); under(y) followed by under(z).  Backward: every pair reversed.
+    The pair under(y), under(z) is tested first, as the candidates of
+    ``_removal_sites`` lack it most often; six distinct passages imply
+    three distinct chords.
     """
-    try:
-        cx = diagram.chord(site.x)
-        cy = diagram.chord(site.y)
-        cz = diagram.chord(site.z)
-    except TangleError:
-        return None
-    if len({site.x, site.y, site.z}) != 3:
-        return None
-    for chord in (cx, cy, cz):
+    for chord in (x, y, z):
         if not chord.is_classical or chord.kind.sign != 1:  # type: ignore[union-attr]
             return None
-
-    step = _next_pos if site.forward else _prev_pos
-
-    def paired(first_end, second_end) -> tuple[str, int, int] | None:
-        if first_end.component != second_end.component:
+    pairs = []
+    for first, second in ((y.under_endpoint(), z.under_endpoint()),
+                          (x.over_endpoint(), y.over_endpoint()),
+                          (x.under_endpoint(), z.over_endpoint())):
+        if not forward:
+            first, second = second, first
+        if not _follows(diagram, first, second):
             return None
-        comp = diagram.component(first_end.component)
-        if step(comp, first_end.position) != second_end.position:
-            return None
-        lo, hi = first_end.position, second_end.position
-        if not site.forward:
-            lo, hi = hi, lo
-        return (first_end.component, lo, hi)
-
-    pairs = [
-        paired(cx.over_endpoint(), cy.over_endpoint()),
-        paired(cx.under_endpoint(), cz.over_endpoint()),
-        paired(cy.under_endpoint(), cz.under_endpoint()),
-    ]
-    if any(p is None for p in pairs):
+        pairs.append((first.component, first.position, second.position))
+    if len({(cid, pos) for cid, lo, hi in pairs for pos in (lo, hi)}) != 6:
         return None
-    positions = {(cid, pos) for cid, lo, hi in pairs for pos in (lo, hi)}  # type: ignore[misc]
-    if len(positions) != 6:
-        return None
-    return pairs  # type: ignore[return-value]
+    return pairs
 
 
 def _apply_triangle(diagram: TangleDiagram, site: TriangleSlide) -> TangleDiagram:
-    pairs = _triangle_pairs(diagram, site)
+    x, y, z = (diagram._chord_index.get(label) for label in (site.x, site.y, site.z))
+    pairs = (None if x is None or y is None or z is None
+             else _triangle_pairs(diagram, x, y, z, site.forward))
     if pairs is None:
         raise MoveError(f"triangle {site.x!r}/{site.y!r}/{site.z!r} is not present")
     rows = {cid: list(range(len(diagram.component(cid).visits))) for cid, _lo, _hi in pairs}
@@ -377,8 +361,8 @@ def _removal_sites(diagram: TangleDiagram,
     pair of opposite signs is a pair-removal site when its under passages
     touch.  A positive pair is the over pair of at most two triangles: the
     forward one takes z at the visit after first's under passage, the
-    backward one at the visit before second's; a candidate whose under
-    passages of y and z follow each other goes to ``_triangle_pairs``.
+    backward one at the visit before second's; ``_triangle_pairs`` checks
+    each candidate on its three chords.
     """
     comps: dict[str, Component] = {}
     # component id -> the classical chord whose over passage sits at each visit
@@ -411,19 +395,12 @@ def _removal_sites(diagram: TangleDiagram,
                     pairs.append(PairRemove(first.label, second.label))
             elif signs == (1, 1):
                 for forward, x, y in ((True, first, second), (False, second, first)):
-                    step = _next_pos if forward else _prev_pos
                     ux = x.under_endpoint()
-                    spot = step(comps[ux.component], ux.position)
+                    spot = (_next_pos if forward else _prev_pos)(comps[ux.component],
+                                                                 ux.position)
                     z = None if spot is None else over_at[ux.component][spot]
-                    if z is None or z.kind.sign != 1:  # type: ignore[union-attr]
-                        continue
-                    uy, uz = y.under_endpoint(), z.under_endpoint()
-                    if (uy.component != uz.component
-                            or step(comps[uy.component], uy.position) != uz.position):
-                        continue
-                    candidate = TriangleSlide(x.label, y.label, z.label, forward)
-                    if _triangle_pairs(diagram, candidate) is not None:
-                        triangles.append(candidate)
+                    if z is not None and _triangle_pairs(diagram, x, y, z, forward):
+                        triangles.append(TriangleSlide(x.label, y.label, z.label, forward))
     return kinks, pairs, triangles
 
 

@@ -1,30 +1,36 @@
-"""Slow reference for the moves, the random walk and orientation reversal.
+"""Slow reference for token assembly, the moves, the random walk and
+orientation reversal.
 
-``moves`` and ``reverse_component`` splice the new diagram out of the old
-one (``diagram._splice``), and ``moves`` checks a removal site on its own
-chords.  This module keeps what that replaces, as a test oracle: every move
-and every reversal rebuilds the whole diagram from its endpoint tokens
-through ``from_tokens``, a removal site is checked by listing every site of
-its kind, and the walk lists every site of the three removal kinds on each
-step.
+``from_tokens``, the moves and ``reverse_component`` all build through
+``diagram._splice``, and ``moves`` checks a removal site on its own chords.
+This module keeps what that replaces, as a test oracle:
+``from_tokens_reference`` assembles a diagram from endpoint tokens on its
+own, every move and every reversal rebuilds the whole diagram from its
+tokens through it, a removal site is checked by listing every site of its
+kind, and the walk lists every site of the three removal kinds on each step.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from tanglepoly import TangleDiagram
 from tanglepoly.diagram import (
     BoundaryPoint,
+    Chord,
     ChordKind,
     Classical,
+    Component,
+    ComponentSpec,
+    DiagramError,
     Direction,
+    Endpoint,
     Singular,
     TangleError,
     Token,
+    _flip_kind,
     component_tokens,
-    from_tokens,
 )
 from tanglepoly.moves import (
     _WALK_WEIGHTS,
@@ -45,6 +51,50 @@ from tanglepoly.moves import (
 )
 
 
+def from_tokens_reference(top: int, bottom: int, components: Iterable[ComponentSpec],
+                          kinds: Mapping[str, ChordKind]) -> TangleDiagram:
+    """``from_tokens`` computed on its own, without ``_splice``.
+
+    Each component contributes an ordered list of (label, end-tag) tokens;
+    every chord label must appear exactly once with tag 'a' and once with
+    tag 'b'.  Ends are renamed if needed so that end_a is traversed first.
+    """
+    specs = list(components)
+    comp_order = {spec[0]: i for i, spec in enumerate(specs)}
+    ends: dict[str, dict[str, Endpoint]] = {}
+    for cid, _start, _end, tokens in specs:
+        for position, (label, tag) in enumerate(tokens):
+            if tag not in ("a", "b"):
+                raise DiagramError(f"bad end tag {tag!r} for chord {label!r}")
+            slot = ends.setdefault(label, {})
+            if tag in slot:
+                raise DiagramError(f"chord {label!r} has two {tag!r} endpoints")
+            slot[tag] = Endpoint(cid, position)
+
+    chords: list[Chord] = []
+    for label, slot in ends.items():
+        if set(slot) != {"a", "b"}:
+            raise DiagramError(f"chord {label!r} is missing an endpoint")
+        if label not in kinds:
+            raise DiagramError(f"no kind given for chord {label!r}")
+        end_a, end_b = slot["a"], slot["b"]
+        kind = kinds[label]
+        key_a = (comp_order[end_a.component], end_a.position)
+        key_b = (comp_order[end_b.component], end_b.position)
+        if key_b < key_a:
+            end_a, end_b = end_b, end_a
+            kind = _flip_kind(kind)
+        chords.append(Chord(label, end_a, end_b, kind))
+    # deterministic order: first traversed endpoint
+    chords.sort(key=lambda c: (comp_order[c.end_a.component], c.end_a.position))
+
+    built = tuple(
+        Component(cid, tuple(label for label, _tag in tokens), start, end)
+        for cid, start, end, tokens in specs
+    )
+    return TangleDiagram(top, bottom, built, tuple(chords))
+
+
 def kind_map(diagram: TangleDiagram) -> dict[str, ChordKind]:
     return {chord.label: chord.kind for chord in diagram.chords}
 
@@ -54,14 +104,15 @@ def rebuild(diagram: TangleDiagram, tokens: Mapping[str, Sequence[Token]],
             boundary: Mapping[str, tuple[BoundaryPoint | None, BoundaryPoint | None]]
             | None = None) -> TangleDiagram:
     """``diagram`` with each component's tokens (and boundary points, where
-    ``boundary`` names the component) replaced, through ``from_tokens``."""
+    ``boundary`` names the component) replaced, through
+    ``from_tokens_reference``."""
     specs = []
     for comp in diagram.components:
         start, end = comp.start, comp.end
         if boundary and comp.cid in boundary:
             start, end = boundary[comp.cid]
         specs.append((comp.cid, start, end, tokens[comp.cid]))
-    return from_tokens(diagram.top, diagram.bottom, specs, kinds)
+    return from_tokens_reference(diagram.top, diagram.bottom, specs, kinds)
 
 
 def reverse_by_rebuild(diagram: TangleDiagram, cid: str) -> TangleDiagram:
@@ -150,11 +201,8 @@ def triangle_sites(diagram: TangleDiagram) -> list[TriangleSlide]:
             ux = x.under_endpoint()
             spot = step(diagram.component(ux.component), ux.position)
             z = over_at.get((ux.component, spot))
-            if z is None:
-                continue
-            candidate = TriangleSlide(x.label, y.label, z.label, forward)
-            if _triangle_pairs(diagram, candidate) is not None:
-                sites.append(candidate)
+            if z is not None and _triangle_pairs(diagram, x, y, z, forward) is not None:
+                sites.append(TriangleSlide(x.label, y.label, z.label, forward))
     return sites
 
 
@@ -231,7 +279,10 @@ def _pair_remove(diagram: TangleDiagram, site: PairRemove) -> TangleDiagram:
 
 
 def _triangle(diagram: TangleDiagram, site: TriangleSlide) -> TangleDiagram:
-    pairs = _triangle_pairs(diagram, site)
+    chords = {chord.label: chord for chord in diagram.chords}
+    x, y, z = (chords.get(label) for label in (site.x, site.y, site.z))
+    pairs = (None if x is None or y is None or z is None
+             else _triangle_pairs(diagram, x, y, z, site.forward))
     if pairs is None:
         raise MoveError(f"triangle {site.x!r}/{site.y!r}/{site.z!r} is not present")
     tokens = component_tokens(diagram)

@@ -23,6 +23,7 @@ from tanglepoly import (
 )
 from tanglepoly.diagram import _flip_kind
 from helpers import clasp, random_diagram, virtual_trefoil
+from rebuild_oracle import from_tokens_reference
 
 
 def codes(violations):
@@ -223,12 +224,81 @@ def test_lookups_keep_the_first_match():
     assert repr(d) == repr(TangleDiagram(0, 0, comps, (first, second)))
 
 
+# (token rows, one closed component each; the labels that are given a kind)
+MALFORMED_TOKENS = [
+    ([[("1", "a")]], "1"),
+    ([[("1", "a"), ("1", "a")]], "1"),
+    # a bad end tag, a doubled end on two components, a missing kind
+    ([[("1", "a"), ("1", "c")]], "1"),
+    ([[("1", "b")], [("2", "a"), ("2", "b"), ("1", "b")]], "12"),
+    ([[("1", "a"), ("2", "a"), ("2", "b"), ("1", "b")]], "1"),
+    # two faults: the rows are read before any chord is placed, and chords
+    # are placed in the order their labels first appear
+    ([[("1", "a")], [("2", "x"), ("2", "b")]], "12"),
+    ([[("1", "a"), ("2", "b")], [("2", "b"), ("1", "b")]], "12"),
+    ([[("2", "a"), ("1", "a"), ("2", "b")]], "1"),
+    ([[("2", "a"), ("1", "a"), ("2", "b"), ("1", "b")]], "1"),
+    ([[("2", "b"), ("1", "a"), ("2", "a"), ("1", "b")]], "1"),
+]
+
+
 def test_from_tokens_rejects_incomplete_chords():
-    with pytest.raises(DiagramError):
-        from_tokens(0, 0, [("K", None, None, [("1", "a")])], {"1": Classical(1, "a")})
-    with pytest.raises(DiagramError):
-        from_tokens(0, 0, [("K", None, None, [("1", "a"), ("1", "a")])],
-                    {"1": Classical(1, "a")})
+    for rows, labels in MALFORMED_TOKENS:
+        specs = [(f"K{i}", None, None, row) for i, row in enumerate(rows)]
+        kinds = {label: Classical(1, "a") for label in labels}
+        with pytest.raises(DiagramError) as want:
+            from_tokens_reference(0, 0, specs, kinds)
+        with pytest.raises(DiagramError) as got:
+            from_tokens(0, 0, specs, kinds)
+        assert str(got.value) == str(want.value), rows
+
+
+def test_from_tokens_rejects_a_repeated_component_id():
+    specs = [("K", None, None, [("1", "a")]), ("K", None, None, [("1", "b")])]
+    with pytest.raises(DiagramError, match="component id 'K' repeated"):
+        from_tokens(0, 0, specs, {"1": Classical(1, "a")})
+    # rows keyed by id cannot hold it; before any token is read
+    specs = [("K", None, None, []), ("L", None, None, [("1", "x")]), ("K", None, None, [])]
+    with pytest.raises(DiagramError, match="component id 'K' repeated"):
+        from_tokens(0, 0, specs, {})
+
+
+def _token_input(rng, components, longs, chords, singular):
+    """Shuffled token rows of ``chords`` chords on ``components`` components,
+    the first ``longs`` of them strands from top point i to bottom point i;
+    labels 1..singular are singular chords.  Kinds name one extra label."""
+    rows: list[list] = [[] for _ in range(components)]
+    kinds = {}
+    for k in range(1, chords + 2):
+        kinds[str(k)] = (Singular(rng.choice((1, -1))) if k <= singular
+                         else Classical(rng.choice((1, -1)), rng.choice(("a", "b"))))
+        if k <= chords:
+            for tag in ("a", "b"):
+                rows[rng.randrange(components)].append((str(k), tag))
+    for row in rows:
+        rng.shuffle(row)
+    specs = [(f"C{i + 1}",
+              BoundaryPoint(Side.TOP, i + 1, Direction.IN) if i < longs else None,
+              BoundaryPoint(Side.BOTTOM, i + 1, Direction.OUT) if i < longs else None,
+              row) for i, row in enumerate(rows)]
+    return longs, longs, specs, kinds
+
+
+def test_from_tokens_matches_reference():
+    rng = random.Random(12)
+    flipped = 0
+    for trial in range(300):
+        components = rng.randint(1, 5)
+        longs = rng.randint(0, components) if trial % 3 else 0
+        chords = rng.choice((0, 1, 2, 5, 12, 40, 150))
+        singular = rng.randint(0, min(chords, 3))
+        args = _token_input(rng, components, longs, chords, singular)
+        got, want = from_tokens(*args), from_tokens_reference(*args)
+        assert got == want and repr(got) == repr(want), trial
+        assert validate(got) == []
+        # a chord met at its 'b' end first is renamed, so its kind flips
+        flipped += sum(1 for chord in got.chords if chord.kind != args[3][chord.label])
+    assert flipped > 1000
 
 
 def _closed_link(rng, components, chords, singular):

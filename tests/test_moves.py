@@ -223,12 +223,11 @@ def test_pair_remove_sites_complete():
 def test_triangle_sites_complete():
     found = 0
     for d in _site_inputs():
-        labels = [c.label for c in d.chords]
         expected = {
-            site
-            for x, y, z in itertools.permutations(labels, 3)
+            TriangleSlide(x.label, y.label, z.label, forward)
+            for x, y, z in itertools.permutations(d.chords, 3)
             for forward in (True, False)
-            if _triangle_pairs(d, site := TriangleSlide(x, y, z, forward)) is not None
+            if _triangle_pairs(d, x, y, z, forward) is not None
         }
         sites = enumerate_sites(d, MoveKind.TRIANGLE_SLIDE)
         assert len(sites) == len(set(sites))

@@ -264,3 +264,30 @@ def test_additivity_refuses_singular_input():
         check_additivity(upper, clasp(), glue, 1, 1)
     assert str(info.value) == ("the self-crossing polynomial is undefined on diagrams "
                                "with singular chords (found '1'); resolve them first")
+
+
+def test_connect_and_gen_match_reference(monkeypatch):
+    from tanglepoly import ops
+    from rebuild_oracle import from_tokens_reference
+
+    rng = random.Random(13)
+    pairs = [(clasp(), clasp()), (clasp(), identity_braid(2)),
+             (parse("tangle 2 2\ncomponent A long T1:in B2:out\nO1+ O2+ U1+ U2+\n"
+                    "component B long T2:in B1:out\n"),
+              parse("tangle 2 2\ncomponent C long T1:in B2:out\nOx+ Oy+\n"
+                    "component D long T2:in B1:out\nUx+ Uy+\n")),
+             (parse("tangle 2 2\ncomponent A long T1:in B1:out\nO1+ U2+\n"
+                    "component B long T2:in B2:out\nU1+ O2+\n"
+                    "component K closed\nOk+ Uk+\n"), clasp())]
+    for _ in range(40):
+        strands = rng.randint(1, 4)
+        pairs.append((random_string_link(rng, strands, max_chords=40),
+                      random_string_link(rng, strands, max_chords=40)))
+    bands = [(0, 0), (1, 0), (0, 1), (3, 2), (40, 25)]
+    got = [connect(upper, lower) for upper, lower in pairs]
+    got_links = [link_with_linking_numbers(a, b) for a, b in bands]
+    monkeypatch.setattr(ops, "from_tokens", from_tokens_reference)
+    want = [connect(upper, lower) for upper, lower in pairs]
+    want_links = [link_with_linking_numbers(a, b) for a, b in bands]
+    for built, reference in zip(got + got_links, want + want_links):
+        assert built == reference and repr(built) == repr(reference)
