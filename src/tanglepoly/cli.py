@@ -151,6 +151,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if min(args.steps, args.trials, args.cap) < 0:
+        raise _CliError(EXIT_PARSE, "steps, trials and cap must be nonnegative")
     for flag, value, bound in (("steps", args.steps, MAX_FUZZ_STEPS),
                                ("trials", args.trials, MAX_FUZZ_TRIALS),
                                ("cap", args.cap, MAX_FUZZ_CAP)):
@@ -320,10 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if (getattr(args, "steps", 0) < 0 or getattr(args, "trials", 0) < 0
-            or getattr(args, "cap", 0) < 0):
-        print("steps, trials and cap must be nonnegative", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.handler(args)
     except _CliError as exc:

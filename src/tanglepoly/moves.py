@@ -137,20 +137,6 @@ def _gaps(comp: Component) -> range:
     return range(v + 1)
 
 
-def _next_pos(comp: Component, pos: int) -> int | None:
-    v = len(comp.visits)
-    if comp.is_closed:
-        return (pos + 1) % v if v > 1 else None
-    return pos + 1 if pos + 1 < v else None
-
-
-def _prev_pos(comp: Component, pos: int) -> int | None:
-    v = len(comp.visits)
-    if comp.is_closed:
-        return (pos - 1) % v if v > 1 else None
-    return pos - 1 if pos > 0 else None
-
-
 def _follows(diagram: TangleDiagram, first: Endpoint, second: Endpoint) -> bool:
     """Passage ``second`` comes right after ``first`` on one component."""
     if first.component != second.component:
@@ -361,8 +347,9 @@ def _removal_sites(diagram: TangleDiagram,
     pair of opposite signs is a pair-removal site when its under passages
     touch.  A positive pair is the over pair of at most two triangles: the
     forward one takes z at the visit after first's under passage, the
-    backward one at the visit before second's; ``_triangle_pairs`` checks
-    each candidate on its three chords.
+    backward one at the visit before second's, both read cyclically;
+    ``_triangle_pairs`` checks each candidate on its three chords, so it
+    drops a wrap-around that no closed component makes.
     """
     comps: dict[str, Component] = {}
     # component id -> the classical chord whose over passage sits at each visit
@@ -396,9 +383,8 @@ def _removal_sites(diagram: TangleDiagram,
             elif signs == (1, 1):
                 for forward, x, y in ((True, first, second), (False, second, first)):
                     ux = x.under_endpoint()
-                    spot = (_next_pos if forward else _prev_pos)(comps[ux.component],
-                                                                 ux.position)
-                    z = None if spot is None else over_at[ux.component][spot]
+                    under_row = over_at[ux.component]
+                    z = under_row[(ux.position + (1 if forward else -1)) % len(under_row)]
                     if z is not None and _triangle_pairs(diagram, x, y, z, forward):
                         triangles.append(TriangleSlide(x.label, y.label, z.label, forward))
     return kinks, pairs, triangles

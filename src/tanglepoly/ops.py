@@ -20,11 +20,12 @@ from .diagram import (
     ChordKind,
     Classical,
     Component,
+    DiagramError,
     Direction,
     Side,
     TangleDiagram,
     TangleError,
-    component_tokens,
+    component_tokens,  # noqa: F401  bench/spans.py wraps it in this module
     from_tokens,
 )
 # The three polynomial functions are unused here, but bench/spans.py wraps
@@ -44,7 +45,6 @@ class GlueError(TangleError):
 
 
 Constituent = tuple[str, int]   # ("upper" | "lower", 1-based input component number)
-_Node = tuple[str, str]         # ("upper" | "lower", input component id)
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,6 @@ class GlueResult:
         return upper, lower
 
 
-def _boundary_owner(diagram: TangleDiagram, side: Side, index: int,
-                    ) -> tuple[str, str]:
-    """(component id, 'start' | 'end') owning a boundary point."""
-    for comp in diagram.components:
-        if comp.start and comp.start.side is side and comp.start.index == index:
-            return comp.cid, "start"
-        if comp.end and comp.end.side is side and comp.end.index == index:
-            return comp.cid, "end"
-    raise GlueError(f"no component uses boundary point {side.value}{index}")
-
-
 def connect(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
     """Stack ``upper`` above ``lower``.
 
@@ -94,117 +83,100 @@ def connect(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
             f"boundary count mismatch: upper has {upper.bottom} bottom points, "
             f"lower has {lower.top} top points")
 
-    order: dict[tuple[str, str], int] = {}
-    offset = len(upper.components)
-    for i, comp in enumerate(upper.components):
-        order[("upper", comp.cid)] = i
-    for i, comp in enumerate(lower.components):
-        order[("lower", comp.cid)] = offset + i
+    inputs = (("upper", upper, Side.BOTTOM), ("lower", lower, Side.TOP))
+    # every input component, upper's first, under the constituent naming it
+    comp_of: dict[Constituent, Component] = {}
+    # interface point -> (the constituent owning it, whether it leaves there)
+    ports: dict[tuple[Side, int], tuple[Constituent, bool]] = {}
+    interface_ends = 0
+    for side, diagram, interface in inputs:
+        for number, comp in enumerate(diagram.components, start=1):
+            comp_of[side, number] = comp
+            for point, leaves in ((comp.start, False), (comp.end, True)):
+                if point is not None and point.side is interface:
+                    ports.setdefault((interface, point.index), ((side, number), leaves))
+                    interface_ends += 1
 
-    successor: dict[_Node, _Node] = {}
-    relations: list[tuple[int, int]] = []
-    upper_number = {comp.cid: i + 1 for i, comp in enumerate(upper.components)}
-    lower_number = {comp.cid: i + 1 for i, comp in enumerate(lower.components)}
-
+    successor: dict[Constituent, Constituent] = {}
+    relations: dict[tuple[int, int], None] = {}  # in first-seen order
     for index in range(1, upper.bottom + 1):
-        up_cid, up_port = _boundary_owner(upper, Side.BOTTOM, index)
-        low_cid, low_port = _boundary_owner(lower, Side.TOP, index)
-        up_dir = Direction.OUT if up_port == "end" else Direction.IN
-        low_dir = Direction.OUT if low_port == "end" else Direction.IN
-        if up_dir == low_dir:
+        for interface in (Side.BOTTOM, Side.TOP):
+            if (interface, index) not in ports:
+                raise GlueError(f"no component uses boundary point {interface.value}{index}")
+        up, up_leaves = ports[Side.BOTTOM, index]
+        low, low_leaves = ports[Side.TOP, index]
+        if up_leaves == low_leaves:
             raise GlueError(
                 f"orientation clash at boundary position {index}: both sides "
-                f"{'leave' if up_dir is Direction.OUT else 'enter'} the interface")
-        if up_dir is Direction.OUT:
-            successor[("upper", up_cid)] = ("lower", low_cid)
+                f"{'leave' if up_leaves else 'enter'} the interface")
+        if up_leaves:
+            successor[up] = low
         else:
-            successor[("lower", low_cid)] = ("upper", up_cid)
-        pair = (upper_number[up_cid], lower_number[low_cid])
-        if pair not in relations:
-            relations.append(pair)
+            successor[low] = up
+        relations[up[1], low[1]] = None
+    # each of the 2 * bottom interface points now has an owner; a strand end
+    # beyond those reuses a point or lies out of range, and no point continues it
+    if interface_ends != 2 * upper.bottom:
+        raise DiagramError("an interface point is used twice or lies out of range")
 
-    def free_start(side: str, comp) -> bool:
-        if not comp.is_long:
-            return False
-        point = comp.start
-        return (point.side is Side.TOP) if side == "upper" else (point.side is Side.BOTTOM)
-
-    def free_end(side: str, comp) -> bool:
-        point = comp.end
-        return (point.side is Side.TOP) if side == "upper" else (point.side is Side.BOTTOM)
-
-    all_long: list[_Node] = (
-        [("upper", c.cid) for c in upper.components if c.is_long]
-        + [("lower", c.cid) for c in lower.components if c.is_long])
-    comp_of = {("upper", c.cid): c for c in upper.components}
-    comp_of.update({("lower", c.cid): c for c in lower.components})
-
-    chains: list[tuple[list[_Node], bool]] = []  # (members, closes_up)
-    visited: set[_Node] = set()
-    for node in all_long:
-        side, _cid = node
-        if node in visited or not free_start(side, comp_of[node]):
+    # Follow successors from each free start, then from each constituent not
+    # yet merged, in input order: one met there is a closed passenger or the
+    # earliest constituent of a cycle, which so starts at it.
+    entered = set(successor.values())
+    starts = [node for node, comp in comp_of.items() if comp.is_long and node not in entered]
+    rank = {node: i for i, node in enumerate(comp_of)}
+    merged: list[tuple[list[Constituent], bool]] = []  # (members, closes_up)
+    seen: set[Constituent] = set()
+    for head in starts + list(comp_of):
+        if head in seen:
             continue
-        chain = [node]
-        visited.add(node)
-        while not free_end(chain[-1][0], comp_of[chain[-1]]):
-            nxt = successor[chain[-1]]
-            chain.append(nxt)
-            visited.add(nxt)
-        chains.append((chain, False))
-    for node in all_long:
-        if node in visited:
-            continue
-        cycle = [node]
-        visited.add(node)
-        nxt = successor[node]
-        while nxt != node:
-            cycle.append(nxt)
-            visited.add(nxt)
-            nxt = successor[nxt]
-        # deterministic basepoint: earliest constituent in input order
-        pivot = min(range(len(cycle)), key=lambda k: order[cycle[k]])
-        chains.append((cycle[pivot:] + cycle[:pivot], True))
+        members = [head]
+        node = successor.get(head)
+        while node is not None and node != head:
+            members.append(node)
+            node = successor.get(node)
+        seen.update(members)
+        merged.append((members, node is not None or comp_of[head].is_closed))
+    merged.sort(key=lambda item: min(rank[node] for node in item[0]))
 
-    results: list[tuple[list[_Node], bool]] = list(chains)
-    results += [([("upper", c.cid)], True) for c in upper.components if c.is_closed]
-    results += [([("lower", c.cid)], True) for c in lower.components if c.is_closed]
-    results.sort(key=lambda item: min(order[node] for node in item[0]))
-
-    # relabel chords: upper's in order, then lower's
-    label_map: dict[tuple[str, str], str] = {}
-    kinds: dict[str, ChordKind] = {}
-    counter = 1
-    for side, diag in (("upper", upper), ("lower", lower)):
-        for chord in diag.chords:
-            label_map[(side, chord.label)] = str(counter)
-            kinds[str(counter)] = chord.kind
-            counter += 1
-
-    upper_tokens = component_tokens(upper)
-    lower_tokens = component_tokens(lower)
-
+    # one row per result component; each input component fills a slot
+    # (row, offset, length) of it, in its constituents' order
+    slots: dict[tuple[str, str], tuple[list, int, int]] = {}
     specs = []
-    component_map: list[tuple[Constituent, ...]] = []
-    for number, (members, closes_up) in enumerate(results, start=1):
-        tokens = []
-        for side, cid in members:
-            source = upper_tokens if side == "upper" else lower_tokens
-            tokens.extend((label_map[(side, label)], tag) for label, tag in source[cid])
-        if closes_up:
-            start = end = None
-        else:
-            head = comp_of[members[0]]
-            tail = comp_of[members[-1]]
+    for number, (members, closes_up) in enumerate(merged, start=1):
+        row: list[tuple[str, str] | None] = []
+        for side, input_number in members:
+            comp = comp_of[side, input_number]
+            slots[side, comp.cid] = (row, len(row), len(comp.visits))
+            row += [None] * len(comp.visits)
+        start = end = None
+        if not closes_up:
+            head, tail = comp_of[members[0]], comp_of[members[-1]]
             start = BoundaryPoint(head.start.side, head.start.index, Direction.IN)
             end = BoundaryPoint(tail.end.side, tail.end.index, Direction.OUT)
-        specs.append((f"s{number}", start, end, tokens))
-        component_map.append(tuple(
-            (side, upper_number[cid] if side == "upper" else lower_number[cid])
-            for side, cid in members))
+        specs.append((f"s{number}", start, end, row))
 
-    diagram = from_tokens(upper.top, lower.bottom, specs, kinds)
-    return GlueResult(diagram, tuple(relations), tuple(component_map))
+    # chords are renumbered '1', '2', ...: upper's in order, then lower's
+    kinds: dict[str, ChordKind] = {}
+    for side, diagram, _interface in inputs:
+        for chord in diagram.chords:
+            label = str(len(kinds) + 1)
+            kinds[label] = chord.kind
+            for passage, tag in ((chord.end_a, "a"), (chord.end_b, "b")):
+                # an unknown component has no room
+                row, offset, length = slots.get((side, passage.component), ([], 0, 0))
+                position = offset + passage.position
+                if not 0 <= passage.position < length or row[position] is not None:
+                    raise DiagramError(f"chord {chord.label!r} endpoints are inconsistent")
+                row[position] = (label, tag)
+        for comp in diagram.components:
+            row, offset, length = slots[side, comp.cid]
+            if None in row[offset:offset + length]:
+                raise DiagramError(f"component {comp.cid!r} has visits not covered by chords")
+
+    glued = from_tokens(upper.top, lower.bottom, specs, kinds)
+    return GlueResult(glued, tuple(relations),
+                      tuple(tuple(members) for members, _closes_up in merged))
 
 
 def is_string_link(diagram: TangleDiagram) -> bool:
@@ -252,14 +224,10 @@ def link_with_linking_numbers(a: int, b: int) -> TangleDiagram:
     kinds: dict[str, ChordKind] = {}
     first: list[tuple[str, str]] = []
     second: list[tuple[str, str]] = []
-    for k in range(1, a + 1):
+    for k in range(1, a + b + 1):
         label = str(k)
-        kinds[label] = Classical(1, "a")  # end_a sits on the first component
-        first.append((label, "a"))
-        second.append((label, "b"))
-    for k in range(a + 1, a + b + 1):
-        label = str(k)
-        kinds[label] = Classical(-1, "b")
+        # end_a sits on the first component, which is over in the first band
+        kinds[label] = Classical(1, "a") if k <= a else Classical(-1, "b")
         first.append((label, "a"))
         second.append((label, "b"))
     specs = [("L1", None, None, first), ("L2", None, None, second)]

@@ -1,13 +1,16 @@
-"""Slow reference for token assembly, the moves, the random walk and
-orientation reversal.
+"""Slow reference for token assembly, gluing, the moves, the random walk
+and orientation reversal.
 
 ``from_tokens``, the moves and ``reverse_component`` all build through
-``diagram._splice``, and ``moves`` checks a removal site on its own chords.
-This module keeps what that replaces, as a test oracle:
+``diagram._splice``, ``moves`` checks a removal site on its own chords, and
+``connect`` places each input chord straight into the glued rows.  This
+module keeps what that replaces, as a test oracle:
 ``from_tokens_reference`` assembles a diagram from endpoint tokens on its
 own, every move and every reversal rebuilds the whole diagram from its
 tokens through it, a removal site is checked by listing every site of its
-kind, and the walk lists every site of the three removal kinds on each step.
+kind, the walk lists every site of the three removal kinds on each step,
+and ``connect_by_tokens`` glues through both inputs' tokens, finding each
+interface point's owner by a scan of the components.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ from tanglepoly.diagram import (
     DiagramError,
     Direction,
     Endpoint,
+    Side,
     Singular,
     TangleError,
     Token,
     _flip_kind,
     component_tokens,
+    from_tokens,
 )
 from tanglepoly.moves import (
     _WALK_WEIGHTS,
@@ -45,10 +50,9 @@ from tanglepoly.moves import (
     _all_gaps,
     _fresh_labels,
     _gaps,
-    _next_pos,
-    _prev_pos,
     _triangle_pairs,
 )
+from tanglepoly.ops import Constituent, GlueError, GlueResult
 
 
 def from_tokens_reference(top: int, bottom: int, components: Iterable[ComponentSpec],
@@ -137,6 +141,20 @@ def reverse_by_rebuild(diagram: TangleDiagram, cid: str) -> TangleDiagram:
             BoundaryPoint(target.start.side, target.start.index, Direction.OUT),
         )}
     return rebuild(diagram, tokens, kinds, boundary)
+
+
+def _next_pos(comp: Component, pos: int) -> int | None:
+    v = len(comp.visits)
+    if comp.is_closed:
+        return (pos + 1) % v if v > 1 else None
+    return pos + 1 if pos + 1 < v else None
+
+
+def _prev_pos(comp: Component, pos: int) -> int | None:
+    v = len(comp.visits)
+    if comp.is_closed:
+        return (pos - 1) % v if v > 1 else None
+    return pos - 1 if pos > 0 else None
 
 
 def _adjacent(comp, first: int, second: int) -> bool:
@@ -352,3 +370,143 @@ def walk_by_rebuild(diagram: TangleDiagram, steps: int, seed: int,
         trail.append(current)
         applied.append(site)
     return trail, applied
+
+
+# ── Gluing ────────────────────────────────────────────────────────────────
+
+_Node = tuple[str, str]         # ("upper" | "lower", input component id)
+
+
+def _boundary_owner(diagram: TangleDiagram, side: Side, index: int,
+                    ) -> tuple[str, str]:
+    """(component id, 'start' | 'end') owning a boundary point."""
+    for comp in diagram.components:
+        if comp.start and comp.start.side is side and comp.start.index == index:
+            return comp.cid, "start"
+        if comp.end and comp.end.side is side and comp.end.index == index:
+            return comp.cid, "end"
+    raise GlueError(f"no component uses boundary point {side.value}{index}")
+
+
+def connect_by_tokens(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
+    """``connect`` through both inputs' tokens: stack ``upper`` above ``lower``.
+
+    Requires upper.bottom == lower.top with complementary directions at each
+    matched position (one strand leaving, one entering).
+    """
+    if upper.bottom != lower.top:
+        raise GlueError(
+            f"boundary count mismatch: upper has {upper.bottom} bottom points, "
+            f"lower has {lower.top} top points")
+
+    order: dict[tuple[str, str], int] = {}
+    offset = len(upper.components)
+    for i, comp in enumerate(upper.components):
+        order[("upper", comp.cid)] = i
+    for i, comp in enumerate(lower.components):
+        order[("lower", comp.cid)] = offset + i
+
+    successor: dict[_Node, _Node] = {}
+    relations: list[tuple[int, int]] = []
+    upper_number = {comp.cid: i + 1 for i, comp in enumerate(upper.components)}
+    lower_number = {comp.cid: i + 1 for i, comp in enumerate(lower.components)}
+
+    for index in range(1, upper.bottom + 1):
+        up_cid, up_port = _boundary_owner(upper, Side.BOTTOM, index)
+        low_cid, low_port = _boundary_owner(lower, Side.TOP, index)
+        up_dir = Direction.OUT if up_port == "end" else Direction.IN
+        low_dir = Direction.OUT if low_port == "end" else Direction.IN
+        if up_dir == low_dir:
+            raise GlueError(
+                f"orientation clash at boundary position {index}: both sides "
+                f"{'leave' if up_dir is Direction.OUT else 'enter'} the interface")
+        if up_dir is Direction.OUT:
+            successor[("upper", up_cid)] = ("lower", low_cid)
+        else:
+            successor[("lower", low_cid)] = ("upper", up_cid)
+        pair = (upper_number[up_cid], lower_number[low_cid])
+        if pair not in relations:
+            relations.append(pair)
+
+    def free_start(side: str, comp) -> bool:
+        if not comp.is_long:
+            return False
+        point = comp.start
+        return (point.side is Side.TOP) if side == "upper" else (point.side is Side.BOTTOM)
+
+    def free_end(side: str, comp) -> bool:
+        point = comp.end
+        return (point.side is Side.TOP) if side == "upper" else (point.side is Side.BOTTOM)
+
+    all_long: list[_Node] = (
+        [("upper", c.cid) for c in upper.components if c.is_long]
+        + [("lower", c.cid) for c in lower.components if c.is_long])
+    comp_of = {("upper", c.cid): c for c in upper.components}
+    comp_of.update({("lower", c.cid): c for c in lower.components})
+
+    chains: list[tuple[list[_Node], bool]] = []  # (members, closes_up)
+    visited: set[_Node] = set()
+    for node in all_long:
+        side, _cid = node
+        if node in visited or not free_start(side, comp_of[node]):
+            continue
+        chain = [node]
+        visited.add(node)
+        while not free_end(chain[-1][0], comp_of[chain[-1]]):
+            nxt = successor[chain[-1]]
+            chain.append(nxt)
+            visited.add(nxt)
+        chains.append((chain, False))
+    for node in all_long:
+        if node in visited:
+            continue
+        cycle = [node]
+        visited.add(node)
+        nxt = successor[node]
+        while nxt != node:
+            cycle.append(nxt)
+            visited.add(nxt)
+            nxt = successor[nxt]
+        # deterministic basepoint: earliest constituent in input order
+        pivot = min(range(len(cycle)), key=lambda k: order[cycle[k]])
+        chains.append((cycle[pivot:] + cycle[:pivot], True))
+
+    results: list[tuple[list[_Node], bool]] = list(chains)
+    results += [([("upper", c.cid)], True) for c in upper.components if c.is_closed]
+    results += [([("lower", c.cid)], True) for c in lower.components if c.is_closed]
+    results.sort(key=lambda item: min(order[node] for node in item[0]))
+
+    # relabel chords: upper's in order, then lower's
+    label_map: dict[tuple[str, str], str] = {}
+    kinds: dict[str, ChordKind] = {}
+    counter = 1
+    for side, diag in (("upper", upper), ("lower", lower)):
+        for chord in diag.chords:
+            label_map[(side, chord.label)] = str(counter)
+            kinds[str(counter)] = chord.kind
+            counter += 1
+
+    upper_tokens = component_tokens(upper)
+    lower_tokens = component_tokens(lower)
+
+    specs = []
+    component_map: list[tuple[Constituent, ...]] = []
+    for number, (members, closes_up) in enumerate(results, start=1):
+        tokens = []
+        for side, cid in members:
+            source = upper_tokens if side == "upper" else lower_tokens
+            tokens.extend((label_map[(side, label)], tag) for label, tag in source[cid])
+        if closes_up:
+            start = end = None
+        else:
+            head = comp_of[members[0]]
+            tail = comp_of[members[-1]]
+            start = BoundaryPoint(head.start.side, head.start.index, Direction.IN)
+            end = BoundaryPoint(tail.end.side, tail.end.index, Direction.OUT)
+        specs.append((f"s{number}", start, end, tokens))
+        component_map.append(tuple(
+            (side, upper_number[cid] if side == "upper" else lower_number[cid])
+            for side, cid in members))
+
+    diagram = from_tokens(upper.top, lower.bottom, specs, kinds)
+    return GlueResult(diagram, tuple(relations), tuple(component_map))

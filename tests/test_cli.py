@@ -221,9 +221,11 @@ def test_fuzz_skips_repeated_steps(capsys, clasp_file, monkeypatch):
 
 
 def test_fuzz_negative_cap(capsys, clasp_file):
-    code, _, err = run(capsys, "fuzz", "-i", clasp_file, "--cap", "-3")
-    assert code == 2
-    assert "cap" in err
+    for flag in ("--cap", "--steps", "--trials"):
+        code, out, err = run(capsys, "fuzz", "-i", clasp_file, flag, "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "steps, trials and cap must be nonnegative\n"
 
 
 @pytest.mark.parametrize("flag, bound", [("--steps", "MAX_FUZZ_STEPS"),

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tanglepoly import (
+    DiagramError,
     GlueError,
     InvariantError,
     Side,
@@ -19,6 +20,7 @@ from tanglepoly import (
     linking_polynomial,
     link_with_linking_numbers,
     parse,
+    reverse_component,
     self_crossing_polynomial,
     serialize,
     validate,
@@ -28,6 +30,7 @@ from helpers import (
     clasp,
     identity_braid,
     poly,
+    random_diagram,
     random_string_link,
     virtual_trefoil,
 )
@@ -291,3 +294,121 @@ def test_connect_and_gen_match_reference(monkeypatch):
     want_links = [link_with_linking_numbers(a, b) for a, b in bands]
     for built, reference in zip(got + got_links, want + want_links):
         assert built == reference and repr(built) == repr(reference)
+
+
+def _glue_outcome(glue_function, upper, lower):
+    try:
+        glue = glue_function(upper, lower)
+    except GlueError as exc:
+        return "error", str(exc)
+    return glue, repr(glue)
+
+
+def _randomly_reversed(rng, diagram):
+    """``diagram`` with each component reversed or not at random, so that
+    caps and cups meet in either orientation."""
+    for comp in diagram.components:
+        if rng.random() < 0.5:
+            diagram = reverse_component(diagram, comp.cid)
+    return diagram
+
+
+def test_connect_matches_token_oracle():
+    from rebuild_oracle import connect_by_tokens
+
+    rng = random.Random(29)
+    seen = {"glued": 0, "cycle": 0, "passenger": 0, "mismatch": 0, "clash": 0}
+    for trial in range(1500):
+        if trial % 3 == 0:
+            strands = rng.randint(1, 6)
+            upper, lower = (random_string_link(rng, strands, max_chords=12) for _ in range(2))
+        else:
+            upper = _randomly_reversed(rng, random_diagram(
+                rng, max_components=4, max_chords=10, n_singular=rng.randint(0, 2)))
+            # most draws match the upper boundary; the rest test a mismatch
+            for _ in range(rng.choice((1, 30))):
+                lower = random_diagram(rng, max_components=4, max_chords=10)
+                if lower.top == upper.bottom:
+                    break
+            lower = _randomly_reversed(rng, lower)
+        got = _glue_outcome(connect, upper, lower)
+        assert got == _glue_outcome(connect_by_tokens, upper, lower)
+        glue, text = got
+        if glue == "error":
+            seen["mismatch" if text.startswith("boundary count") else "clash"] += 1
+            continue
+        seen["glued"] += 1
+        for comp, constituents in zip(glue.diagram.components, glue.component_map):
+            inputs = [(upper if side == "upper" else lower).components[number - 1]
+                      for side, number in constituents]
+            if comp.is_closed and inputs[0].is_long:
+                seen["cycle"] += 1
+            elif comp.is_closed:
+                seen["passenger"] += 1
+    # every path through connect is taken many times
+    assert min(seen.values()) >= 20, seen
+
+
+def test_connect_never_lists_tokens(monkeypatch):
+    from tanglepoly import diagram, ops
+
+    def no_tokens(*args):
+        raise AssertionError("component_tokens called")
+
+    monkeypatch.setattr(diagram, "component_tokens", no_tokens)
+    monkeypatch.setattr(ops, "component_tokens", no_tokens)
+    rng = random.Random(3)
+    upper, lower = (random_string_link(rng, 3, max_chords=20) for _ in range(2))
+    assert validate(connect(upper, lower).diagram) == []
+
+
+def test_connect_rejects_inconsistent_chords():
+    from dataclasses import replace
+
+    from tanglepoly.diagram import Endpoint, component_tokens
+    from rebuild_oracle import connect_by_tokens
+
+    good = clasp()
+    first, second = good.chords
+    a, b = good.components
+    broken = {
+        "unknown component": replace(good, chords=(
+            replace(first, end_b=Endpoint("Z", 0)), second)),
+        "position out of range": replace(good, chords=(
+            first, replace(second, end_b=Endpoint(b.cid, len(b.visits))))),
+        "slot taken": replace(good, chords=(
+            first, replace(second, end_a=first.end_a))),
+        "uncovered visit": replace(good, components=(
+            replace(a, visits=a.visits + ("3",)), b)),
+    }
+    for name, bad in broken.items():
+        with pytest.raises(DiagramError) as expected:
+            component_tokens(bad)
+        for upper, lower in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(DiagramError) as info:
+                connect(upper, lower)
+            assert str(info.value) == str(expected.value), name
+            with pytest.raises(DiagramError) as oracle:
+                connect_by_tokens(upper, lower)
+            assert str(oracle.value) == str(expected.value), name
+
+
+def test_connect_rejects_unpaired_interface_ends():
+    from dataclasses import replace
+
+    two = parse("tangle 2 2\ncomponent A long T1:in B1:out\ncomponent B long T2:in B2:out\n")
+    a, b = two.components
+    one = identity_braid(1)
+    unpaired = [
+        # B ends at B2 of a one-point bottom
+        (replace(two, bottom=1), one),
+        # A and B both end at B1
+        (replace(two, bottom=1, components=(a, replace(b, end=a.end))), one),
+        # B starts at T2 of a one-point top
+        (one, replace(two, top=1)),
+    ]
+    for upper, lower in unpaired:
+        assert validate(upper) or validate(lower)
+        with pytest.raises(DiagramError) as info:
+            connect(upper, lower)
+        assert str(info.value) == "an interface point is used twice or lies out of range"
