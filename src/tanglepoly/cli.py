@@ -22,7 +22,8 @@ from fractions import Fraction
 # parse checks every input; validate stays bound in this module for bench/spans.py.
 from .diagram import TangleDiagram, validate  # noqa: F401
 from .gaussio import MAX_CHORDS, ParseError, parse, serialize
-from .invariants import (
+# the polynomials and vassiliev_derivative stay bound here for bench/spans.py.
+from .invariants import (  # noqa: F401
     InvariantReport,
     _normal_form,
     invariant_report,
@@ -30,6 +31,7 @@ from .invariants import (
     linking_polynomial,
     self_crossing_polynomial,
 )
+from .laurent import zero
 # random_walk stays bound in this module for bench/spans.py.
 from .moves import DEFAULT_CHORD_CAP, iter_walk, random_walk  # noqa: F401
 # check_additivity stays bound in this module for bench/spans.py.
@@ -41,7 +43,7 @@ from .ops import (  # noqa: F401
     is_string_link,
     link_with_linking_numbers,
 )
-from .singular import vassiliev_derivative
+from .singular import all_resolutions, resolve, vassiliev_derivative  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -49,10 +51,10 @@ EXIT_SINGULAR = 3
 EXIT_FUZZ_FAIL = 4
 EXIT_GLUE = 5
 
-# Input bounds, checked before any work: a derivative sums over 2^k
-# resolutions of k singular chords, three times; gen builds a + b chords;
-# fuzz makes trials * steps moves, each on a diagram of at most cap chords
-# or the input's count; Fraction expands the digits of a coefficient
+# Input bounds, checked before any work: derivative keeps its bound on k
+# singular chords, though it resolves them only for k <= 1; gen builds a + b
+# chords; fuzz makes trials * steps moves, each on a diagram of at most cap
+# chords or the input's count; Fraction expands the digits of a coefficient
 # (and 1e<k> to 10**k), so its text is bounded and exponent notation refused.
 MAX_SINGULAR_CHORDS = 16
 MAX_GEN_CHORDS = MAX_CHORDS  # so that gen output always parses back
@@ -179,14 +181,11 @@ def _cmd_fuzz(args) -> int:
                     "before": serialize(before),
                     "after": serialize(after),
                 }
-                if args.format == "json":
-                    print(json.dumps(failure, indent=2))
-                else:
-                    print(f"FAIL trial={trial} step={step}")
-                    print("--- diagram before the move ---")
-                    print(failure["before"], end="")
-                    print("--- diagram after the move ---")
-                    print(failure["after"], end="")
+                # a serialized diagram ends in exactly one newline
+                _emit(args, [f"FAIL trial={trial} step={step}",
+                             "--- diagram before the move ---", failure["before"][:-1],
+                             "--- diagram after the move ---", failure["after"][:-1]],
+                      failure)
                 return EXIT_FUZZ_FAIL
             before = after
     summary = {"ok": True, "trials": args.trials, "steps": args.steps,
@@ -242,10 +241,15 @@ def _cmd_derivative(args) -> int:
         raise _CliError(
             EXIT_PARSE, f"{path}: {singular_count} singular chords; derivative "
             f"takes at most {MAX_SINGULAR_CHORDS} (it needs 2^k resolutions)")
-    psc = vassiliev_derivative(diagram, self_crossing_polynomial)
-    plk = vassiliev_derivative(diagram, lambda d: linking_polynomial(d, args.a, args.b))
-    plk_l = vassiliev_derivative(
-        diagram, lambda d: laurent_linking_polynomial(d, args.a, args.b))
+    # Both resolutions of a singular chord weigh +frame at end_a, -frame at
+    # end_b: each term depends on one choice at most, so k >= 2 sums to 0.
+    psc = plk = plk_l = zero(len(diagram.components))
+    if singular_count <= 1:
+        for resolution in all_resolutions(diagram):
+            report = invariant_report(resolve(diagram, resolution), args.a, args.b)
+            psc += report.psc.scale(resolution.weight)
+            plk += report.plk.scale(resolution.weight)
+            plk_l += report.plk_laurent.scale(resolution.weight)
     lines = [
         f"singular chords: {singular_count}",
         f"a: {args.a}",
@@ -280,10 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Index-polynomial invariants of virtual tangles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inputs=True):
-        if inputs:
-            p.add_argument("--input", "-i", action="append",
-                           help="Gauss-code file, or '-' for stdin")
+    def common(p):
+        p.add_argument("--input", "-i", action="append",
+                       help="Gauss-code file, or '-' for stdin")
         p.add_argument("--a", type=_rational, default=Fraction(1),
                        help="coefficient a as 'p/q' or integer (default 1)")
         p.add_argument("--b", type=_rational, default=Fraction(1),

@@ -17,10 +17,10 @@ Construction invariant: a chord's ``end_a`` is the endpoint met first in
 traversal order (components in list order, then position), and chords are
 sorted by it.  ``gaussio.parse`` reads chords in that form.  ``_splice`` is
 the one builder that puts any other input into it: it builds each diagram
-derived from another (every move, ``canonical``, ``reverse_component``) and,
-through ``from_tokens``, each diagram assembled from endpoint tokens
-(``connect``, ``gen``), so structural equality of canonicalized diagrams is
-meaningful.
+derived from another (every move, ``canonical``, ``reverse_component``,
+``singular.resolve``) and, through ``from_tokens``, each diagram assembled
+from endpoint tokens (``connect``, ``gen``), so structural equality of
+canonicalized diagrams is meaningful.
 """
 
 from __future__ import annotations
@@ -365,8 +365,8 @@ def _splice(diagram: TangleDiagram, rows: Mapping[str, Iterable[int | Token]],
     """The diagram derived from ``diagram`` by new rows for some components.
 
     This is the one builder that puts chords into normal form; every move,
-    ``canonical``, ``reverse_component`` and ``from_tokens`` (a diagram of
-    empty components given a row each) call it.  A row lists old visit
+    ``canonical``, ``reverse_component``, ``resolve`` (new kinds only) and
+    ``from_tokens`` (a row per empty component) call it.  A row lists old visit
     positions of its component and tokens ``(label, tag)`` of new chords,
     each label once with tag 'a' and once with tag 'b'; other components
     keep their visits, and a chord with a visit that no row keeps is

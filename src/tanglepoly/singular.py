@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .diagram import Chord, Classical, TangleDiagram, TangleError
+from .diagram import ChordKind, Classical, TangleDiagram, TangleError, _splice
 from .laurent import LaurentPoly
 
 
@@ -47,28 +47,23 @@ def _resolved_kind(frame: int, choice: int) -> Classical:
 def resolve(diagram: TangleDiagram, resolution: Resolution) -> TangleDiagram:
     """Replace every singular chord by the chosen classical resolution.
 
-    Endpoint positions are untouched, so the resolved diagram differs from
-    the input only in chord kinds.
+    On an input in normal form the endpoints are untouched, so the resolved
+    diagram differs from it only in chord kinds.
     """
-    assignment = dict(resolution.assignment)
-    singular_labels = {c.label for c in diagram.chords if not c.is_classical}
+    assignment = resolution.assignment
+    singular = {c.label: c.kind for c in diagram.chords if not c.is_classical}
     for label in assignment:
-        if label not in singular_labels:
+        if label not in singular:
             raise ResolutionError(f"chord {label!r} is not a singular chord")
-    new_chords: list[Chord] = []
-    for chord in diagram.chords:
-        if chord.is_classical:
-            new_chords.append(chord)
-            continue
-        if chord.label not in assignment:
-            raise ResolutionError(f"singular chord {chord.label!r} left unassigned")
-        choice = assignment[chord.label]
+    kinds: dict[str, ChordKind] = {}
+    for label, kind in singular.items():
+        if label not in assignment:
+            raise ResolutionError(f"singular chord {label!r} left unassigned")
+        choice = assignment[label]
         if choice not in (1, -1):
-            raise ResolutionError(f"bad choice {choice!r} for chord {chord.label!r}")
-        kind = _resolved_kind(chord.kind.frame, choice)  # type: ignore[union-attr]
-        new_chords.append(Chord(chord.label, chord.end_a, chord.end_b, kind))
-    return TangleDiagram(diagram.top, diagram.bottom, diagram.components,
-                         tuple(new_chords))
+            raise ResolutionError(f"bad choice {choice!r} for chord {label!r}")
+        kinds[label] = _resolved_kind(kind.frame, choice)  # type: ignore[union-attr]
+    return _splice(diagram, {}, kinds)
 
 
 def all_resolutions(diagram: TangleDiagram) -> Iterator[Resolution]:

@@ -1,24 +1,39 @@
 """Slow reference for token assembly, gluing, the moves, the random walk
 and orientation reversal.
 
-``from_tokens``, the moves and ``reverse_component`` all build through
-``diagram._splice``, ``moves`` checks a removal site on its own chords, and
-``connect`` places each input chord straight into the glued rows.  This
-module keeps what that replaces, as a test oracle:
-``from_tokens_reference`` assembles a diagram from endpoint tokens on its
-own, every move and every reversal rebuilds the whole diagram from its
-tokens through it, a removal site is checked by listing every site of its
-kind, the walk lists every site of the three removal kinds on each step,
-and ``connect_by_tokens`` glues through both inputs' tokens, finding each
-interface point's owner by a scan of the components.
+``from_tokens``, the moves, ``reverse_component`` and ``resolve`` all build
+through ``diagram._splice``, ``moves`` checks a removal site on its own
+chords, ``connect`` places each input chord straight into the glued rows,
+and ``tanglepoly derivative`` sums one report per resolution, and only for
+at most one singular chord.  This module keeps what that replaces, as a
+test oracle: ``from_tokens_reference`` assembles a diagram from endpoint
+tokens on its own, every move and every reversal rebuilds the whole diagram
+from its tokens through it, a removal site is checked by listing every site
+of its kind, the walk lists every site of the three removal kinds on each
+step, ``connect_by_tokens`` glues through both inputs' tokens, finding each
+interface point's owner by a scan of the components, ``resolve_by_chords``
+rebuilds every chord of a resolution, and ``derivative_by_sweeps`` writes
+the ``derivative`` output from three sweeps over all 2^k resolutions, one
+per polynomial.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from typing import Iterable, Mapping, Sequence
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence
 
-from tanglepoly import TangleDiagram
+from tanglepoly import (
+    LaurentPoly,
+    Resolution,
+    ResolutionError,
+    TangleDiagram,
+    all_resolutions,
+    laurent_linking_polynomial,
+    linking_polynomial,
+    self_crossing_polynomial,
+)
 from tanglepoly.diagram import (
     BoundaryPoint,
     Chord,
@@ -53,6 +68,7 @@ from tanglepoly.moves import (
     _triangle_pairs,
 )
 from tanglepoly.ops import Constituent, GlueError, GlueResult
+from tanglepoly.singular import _resolved_kind
 
 
 def from_tokens_reference(top: int, bottom: int, components: Iterable[ComponentSpec],
@@ -510,3 +526,72 @@ def connect_by_tokens(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
 
     diagram = from_tokens(upper.top, lower.bottom, specs, kinds)
     return GlueResult(diagram, tuple(relations), tuple(component_map))
+
+
+# ── Resolutions and the derivative ────────────────────────────────────────
+
+
+def resolve_by_chords(diagram: TangleDiagram, resolution: Resolution) -> TangleDiagram:
+    """Replace every singular chord by the chosen classical resolution.
+
+    Endpoint positions are untouched, so the resolved diagram differs from
+    the input only in chord kinds.
+    """
+    assignment = dict(resolution.assignment)
+    singular_labels = {c.label for c in diagram.chords if not c.is_classical}
+    for label in assignment:
+        if label not in singular_labels:
+            raise ResolutionError(f"chord {label!r} is not a singular chord")
+    new_chords: list[Chord] = []
+    for chord in diagram.chords:
+        if chord.is_classical:
+            new_chords.append(chord)
+            continue
+        if chord.label not in assignment:
+            raise ResolutionError(f"singular chord {chord.label!r} left unassigned")
+        choice = assignment[chord.label]
+        if choice not in (1, -1):
+            raise ResolutionError(f"bad choice {choice!r} for chord {chord.label!r}")
+        kind = _resolved_kind(chord.kind.frame, choice)  # type: ignore[union-attr]
+        new_chords.append(Chord(chord.label, chord.end_a, chord.end_b, kind))
+    return TangleDiagram(diagram.top, diagram.bottom, diagram.components,
+                         tuple(new_chords))
+
+
+def _sweep(diagram: TangleDiagram,
+           invariant: Callable[[TangleDiagram], LaurentPoly]) -> LaurentPoly:
+    """``vassiliev_derivative`` through ``resolve_by_chords``: the
+    alternating sum of the invariant over all resolutions."""
+    total: LaurentPoly | None = None
+    for resolution in all_resolutions(diagram):
+        value = invariant(resolve_by_chords(diagram, resolution))
+        if resolution.weight < 0:
+            value = -value
+        total = value if total is None else total + value
+    assert total is not None  # the empty product yields one resolution
+    return total
+
+
+def derivative_by_sweeps(diagram: TangleDiagram, a: Fraction, b: Fraction,
+                         ) -> tuple[str, str]:
+    """The text and JSON output of ``tanglepoly derivative`` at (a, b), each
+    polynomial summed over all 2^k resolutions on its own."""
+    singular_count = sum(1 for c in diagram.chords if not c.is_classical)
+    psc = _sweep(diagram, self_crossing_polynomial)
+    plk = _sweep(diagram, lambda d: linking_polynomial(d, a, b))
+    plk_l = _sweep(diagram, lambda d: laurent_linking_polynomial(d, a, b))
+    lines = [
+        f"singular chords: {singular_count}",
+        f"a: {a}",
+        f"b: {b}",
+        f"psc: {psc.render()}",
+        f"plk: {plk.render()}",
+        f"plkL: {plk_l.render()}",
+    ]
+    json_obj = {
+        "singular": singular_count,
+        "psc": psc.to_json_terms(),
+        "plk": {"a": str(a), "b": str(b), "value": plk.to_json_terms()},
+        "plkL": {"a": str(a), "b": str(b), "value": plk_l.to_json_terms()},
+    }
+    return "\n".join(lines) + "\n", json.dumps(json_obj, indent=2) + "\n"

@@ -164,6 +164,78 @@ def test_derivative_matches_compute_without_singular(capsys, trefoil_file):
     assert "psc: -2 + 2 t1" in out
 
 
+def test_derivative_matches_sweep_oracle(capsys, tmp_path):
+    # the order-one sum against three sweeps over all 2^k resolutions
+    import random
+
+    from tanglepoly import parse, serialize
+    from helpers import random_diagram
+    from rebuild_oracle import derivative_by_sweeps
+
+    rng = random.Random(71)
+    path = tmp_path / "singular.tangle"
+    long_inputs = joining_inputs = nonzero = 0
+    for k in range(13):
+        for _ in range(8 if k <= 4 else 1):
+            text = serialize(random_diagram(rng, max_components=3, max_chords=6,
+                                            n_singular=k))
+            path.write_text(text)
+            diagram = parse(text)
+            long_inputs += any(comp.is_long for comp in diagram.components)
+            joining_inputs += any(not c.is_classical and c.end_a.component != c.end_b.component
+                                  for c in diagram.chords)
+            for a, b in ((Fraction(1), Fraction(1)), (Fraction(2, 3), Fraction(-5))):
+                expected_text, expected_json = derivative_by_sweeps(diagram, a, b)
+                flags = ("--a", str(a), f"--b={b}")
+                assert run(capsys, "derivative", "-i", str(path), *flags) == \
+                    (0, expected_text, "")
+                assert run(capsys, "derivative", "-i", str(path), *flags,
+                           "--format", "json") == (0, expected_json, "")
+                nonzero += k == 1 and "plk: 0\n" not in expected_text
+    assert long_inputs >= 20 and joining_inputs >= 15 and nonzero >= 6
+
+
+def _count_reports(monkeypatch):
+    """Count the reports the CLI builds; fail on any generic sweep."""
+    import tanglepoly.cli as cli
+
+    built = []
+    original = cli.invariant_report
+
+    def counting_report(*args):
+        built.append(args)
+        return original(*args)
+
+    def no_sweep(*args):
+        raise AssertionError("derivative ran the generic sweep")
+
+    monkeypatch.setattr(cli, "invariant_report", counting_report)
+    monkeypatch.setattr(cli, "vassiliev_derivative", no_sweep)
+    return built
+
+
+def test_derivative_builds_two_reports_at_one_singular_chord(capsys, singular_file,
+                                                              monkeypatch):
+    built = _count_reports(monkeypatch)
+    code, out, _ = run(capsys, "derivative", "-i", singular_file)
+    assert code == 0 and "psc: -2 + 2 t1" in out
+    assert len(built) == 2
+
+
+def test_derivative_builds_no_report_at_the_bound(capsys, tmp_path, monkeypatch):
+    from tanglepoly.cli import MAX_SINGULAR_CHORDS
+
+    built = _count_reports(monkeypatch)
+    visits = " ".join(f"S{n}+" for n in range(1, MAX_SINGULAR_CHORDS + 1))
+    path = tmp_path / "many.tangle"
+    path.write_text(f"tangle 0 0\ncomponent K closed\n{visits} {visits}\n")
+    code, out, _ = run(capsys, "derivative", "-i", str(path))
+    assert code == 0
+    assert out == (f"singular chords: {MAX_SINGULAR_CHORDS}\na: 1\nb: 1\n"
+                   "psc: 0\nplk: 0\nplkL: 0\n")
+    assert built == []
+
+
 def test_derivative_singular_bound(capsys, tmp_path):
     from tanglepoly.cli import MAX_SINGULAR_CHORDS
 
@@ -277,6 +349,25 @@ def test_fuzz_counterexample_exit_code(capsys, clasp_file, monkeypatch):
     assert out == ("FAIL trial=0 step=1\n--- diagram before the move ---\n"
                    + serialize(parse(CLASP_TEXT))
                    + "--- diagram after the move ---\n" + serialize(broken))
+
+
+def test_fuzz_counterexample_json(capsys, clasp_file, monkeypatch):
+    import tanglepoly.cli as cli
+    from tanglepoly import parse, serialize
+
+    broken = parse("tangle 2 2\ncomponent A long T1:in B1:out\nO1- U2+\n"
+                   "component B long T2:in B2:out\nU1- O2+\n")
+
+    def fake_walk(diagram, steps, seed, cap):
+        yield from (diagram, broken)
+
+    monkeypatch.setattr(cli, "iter_walk", fake_walk)
+    code, out, _ = run(capsys, "fuzz", "-i", clasp_file, "--steps", "1",
+                       "--trials", "1", "--format", "json")
+    assert code == 4
+    failure = {"ok": False, "trial": 0, "step": 1,
+               "before": serialize(parse(CLASP_TEXT)), "after": serialize(broken)}
+    assert out == json.dumps(failure, indent=2) + "\n"
 
 
 def test_sum_clasp_clasp(capsys, clasp_file):

@@ -126,3 +126,87 @@ def test_derivative_matches_manual_expansion():
             value = value if weight > 0 else -value
             total = value if total is None else total + value
         assert vassiliev_derivative(d, self_crossing_polynomial) == total
+
+
+def test_resolve_matches_chord_oracle():
+    from rebuild_oracle import resolve_by_chords
+
+    rng = random.Random(53)
+    for _ in range(200):
+        d = random_diagram(rng, max_components=3, max_chords=6,
+                           n_singular=rng.randint(0, 4))
+        labels = [c.label for c in d.chords if not c.is_classical]
+        resolution = Resolution({label: rng.choice((1, -1)) for label in labels})
+        assert resolve(d, resolution) == resolve_by_chords(d, resolution)
+
+
+def _outcome(resolver, diagram, resolution):
+    try:
+        return resolver(diagram, resolution)
+    except ResolutionError as exc:
+        return str(exc)
+
+
+def test_resolve_errors_match_chord_oracle():
+    # bad labels, missing labels and bad choices, mixed and shuffled, so
+    # the first error reported is pinned too
+    from rebuild_oracle import resolve_by_chords
+
+    rng = random.Random(59)
+    errors = 0
+    for _ in range(300):
+        d = random_diagram(rng, max_components=3, max_chords=4,
+                           n_singular=rng.randint(1, 3))
+        singular = [c.label for c in d.chords if not c.is_classical]
+        classical = [c.label for c in d.chords if c.is_classical]
+        items = [(label, rng.choice((1, -1, 0, 2))) for label in singular
+                 if rng.random() < 0.8]
+        items += [(label, 1) for label in rng.sample(classical + ["x", "y"], 2)
+                  if rng.random() < 0.4]
+        rng.shuffle(items)
+        resolution = Resolution(dict(items))
+        new = _outcome(resolve, d, resolution)
+        assert new == _outcome(resolve_by_chords, d, resolution)
+        errors += isinstance(new, str)
+    assert errors >= 150
+
+
+def test_resolve_reports_the_first_bad_label():
+    d = singular_virtual_trefoil()  # chord 1 singular, chord 2 classical
+    with pytest.raises(ResolutionError, match="chord 'x' is not a singular chord"):
+        resolve(d, Resolution({"x": 1, "2": 1}))
+    with pytest.raises(ResolutionError, match="chord '2' is not a singular chord"):
+        resolve(d, Resolution({"2": 1, "x": 1}))
+    with pytest.raises(ResolutionError, match="chord '3' is not a singular chord"):
+        resolve(d, Resolution({"1": 0, "3": 1}))
+
+
+def test_kernel_entries_agree_across_the_two_resolutions():
+    # both resolutions of a singular chord weigh +frame at end_a and -frame
+    # at end_b: every other chord keeps its kernel entry, and the chord
+    # itself adds only its own term, so the sum of k >= 2 chords is 0
+    from tanglepoly.invariants import _kernel
+
+    rng = random.Random(61)
+    for _ in range(100):
+        d = random_diagram(rng, max_components=3, max_chords=8,
+                           n_singular=rng.randint(1, 4))
+        number = {cid: n for n, cid in enumerate(d.component_ids())}
+        singular = [c for c in d.chords if not c.is_classical]
+        choices = {c.label: rng.choice((1, -1)) for c in singular}
+        for chord in singular:
+            kernels = []
+            for choice in (1, -1):
+                resolved = resolve(d, Resolution({**choices, chord.label: choice}))
+                crossings, links = _kernel(resolved)
+                own = resolved.chord(chord.label)
+                key = (number[own.over_endpoint().component],
+                       number[own.under_endpoint().component])
+                if key[0] != key[1]:
+                    links[key] -= own.kind.sign
+                own_entry = crossings.pop(chord.label, None)
+                kernels.append((own_entry, crossings, {k: v for k, v in links.items() if v}))
+            (plus, *plus_rest), (minus, *minus_rest) = kernels
+            assert plus_rest == minus_rest
+            if plus is not None:
+                assert (plus[0], plus[1], plus[2]) == (minus[0], -minus[1], minus[2])
