@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -124,6 +123,8 @@ def _report_lines(report: InvariantReport) -> list[str]:
 
 def _emit(args, text_lines: list[str], json_obj) -> None:
     if args.format == "json":
+        import json  # here, so that text output does not pay for its import
+
         print(json.dumps(json_obj, indent=2))
     else:
         print("\n".join(text_lines))
@@ -240,7 +241,7 @@ def _cmd_derivative(args) -> int:
     if singular_count > MAX_SINGULAR_CHORDS:
         raise _CliError(
             EXIT_PARSE, f"{path}: {singular_count} singular chords; derivative "
-            f"takes at most {MAX_SINGULAR_CHORDS} (it needs 2^k resolutions)")
+            f"takes at most {MAX_SINGULAR_CHORDS}")
     # Both resolutions of a singular chord weigh +frame at end_a, -frame at
     # end_b: each term depends on one choice at most, so k >= 2 sums to 0.
     psc = plk = plk_l = zero(len(diagram.components))

@@ -25,10 +25,56 @@ canonicalized diagrams is meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
+
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass declares ``__slots__ = _fields = (...)`` and an ``__init__``
+    that sets each field with ``_set``.  The rest reads the fields in that
+    order, as a frozen dataclass does: instances are equal when their
+    classes match and their field tuples are equal, hash as that tuple,
+    show as ``Name(field=value, ...)`` and pickle through the constructor.
+    Assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if len(cls._fields) == 1:
+            # the key is a tuple for one field too, as the hash must be
+            get = attrgetter(cls._fields[0])
+            cls._key = staticmethod(lambda self: (get(self),))
+        else:
+            cls._key = attrgetter(*cls._fields)
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
 
 
 class TangleError(Exception):
@@ -49,51 +95,64 @@ class Direction(str, Enum):
     OUT = "out"
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(_Value):
     """A distinguished point on the tangle box: side, 1-based index, and
     whether the strand enters (IN) or exits (OUT) the box there."""
 
-    side: Side
-    index: int
-    direction: Direction
+    __slots__ = _fields = ("side", "index", "direction")
+
+    def __init__(self, side: Side, index: int, direction: Direction) -> None:
+        _set(self, "side", side)
+        _set(self, "index", index)
+        _set(self, "direction", direction)
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(_Value):
     """One end of a chord: which component it sits on and at which visit."""
 
-    component: str
-    position: int
+    __slots__ = _fields = ("component", "position")
+
+    def __init__(self, component: str, position: int) -> None:
+        _set(self, "component", component)
+        _set(self, "position", position)
 
 
-@dataclass(frozen=True)
-class Classical:
+class Classical(_Value):
     """A classical crossing: sign and which endpoint ('a' or 'b') is the
     over-strand passage."""
 
-    sign: int
-    over: str  # "a" | "b"
+    __slots__ = _fields = ("sign", "over")
+
+    def __init__(self, sign: int, over: str) -> None:  # over: "a" | "b"
+        _set(self, "sign", sign)
+        _set(self, "over", over)
 
 
-@dataclass(frozen=True)
-class Singular:
+class Singular(_Value):
     """An unresolved double point.  ``frame`` is the crossing sign obtained
     when end_a is chosen as the over strand; it pins down both resolutions
     combinatorially."""
 
-    frame: int
+    __slots__ = _fields = ("frame",)
+
+    def __init__(self, frame: int) -> None:
+        _set(self, "frame", frame)
 
 
 ChordKind = Classical | Singular
 
 
-@dataclass(frozen=True)
-class Chord:
-    label: str
-    end_a: Endpoint
-    end_b: Endpoint
-    kind: ChordKind
+class Chord(_Value):
+    """One crossing of the diagram: its label, its two ends and its kind.
+    ``end_a`` is the end met first in traversal order."""
+
+    __slots__ = _fields = ("label", "end_a", "end_b", "kind")
+
+    def __init__(self, label: str, end_a: Endpoint, end_b: Endpoint, kind: ChordKind) -> None:
+        _set(self, "label", label)
+        _set(self, "end_a", end_a)
+        _set(self, "end_b", end_b)
+        _set(self, "kind", kind)
 
     @property
     def is_classical(self) -> bool:
@@ -114,16 +173,19 @@ class Chord:
         return self.end_b if self.kind.over == "a" else self.end_a
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Value):
     """One tangle component.  Closed when both boundary fields are None;
     long when both are set (start must be IN, end must be OUT).  ``visits``
     lists the chord label met at each traversal position."""
 
-    cid: str
-    visits: tuple[str, ...]
-    start: BoundaryPoint | None = None
-    end: BoundaryPoint | None = None
+    __slots__ = _fields = ("cid", "visits", "start", "end")
+
+    def __init__(self, cid: str, visits: tuple[str, ...], start: BoundaryPoint | None = None,
+                 end: BoundaryPoint | None = None) -> None:
+        _set(self, "cid", cid)
+        _set(self, "visits", visits)
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     @property
     def is_closed(self) -> bool:
@@ -134,27 +196,37 @@ class Component:
         return self.start is not None and self.end is not None
 
 
-@dataclass(frozen=True)
-class TangleDiagram:
-    top: int
-    bottom: int
-    components: tuple[Component, ...]
-    chords: tuple[Chord, ...]
+class TangleDiagram(_Value):
+    """A tangle in a box with ``top`` and ``bottom`` boundary points: its
+    components, in the order of the invariants' variables, and its chords,
+    sorted by ``end_a``."""
 
-    # Lookup indexes, built on first use; on a repeated id or label the
-    # first one wins, as in a scan.
-    @cached_property
-    def _component_index(self) -> dict[str, Component]:
-        index: dict[str, Component] = {}
-        for comp in self.components:
-            index.setdefault(comp.cid, comp)
-        return index
+    _fields = ("top", "bottom", "components", "chords")
+    # the lookup indexes, filled by __getattr__ on first read; equality,
+    # hash, repr and pickling leave them out
+    __slots__ = _fields + ("_component_index", "_chord_index")
 
-    @cached_property
-    def _chord_index(self) -> dict[str, Chord]:
-        index: dict[str, Chord] = {}
-        for chord in self.chords:
-            index.setdefault(chord.label, chord)
+    def __init__(self, top: int, bottom: int, components: tuple[Component, ...],
+                 chords: tuple[Chord, ...]) -> None:
+        _set(self, "top", top)
+        _set(self, "bottom", bottom)
+        _set(self, "components", components)
+        _set(self, "chords", chords)
+
+    def __getattr__(self, name: str):
+        # reached only while an index slot is empty; on a repeated id or
+        # label the first one wins, as in a scan
+        if name == "_component_index":
+            index = {}
+            for comp in self.components:
+                index.setdefault(comp.cid, comp)
+        elif name == "_chord_index":
+            index = {}
+            for chord in self.chords:
+                index.setdefault(chord.label, chord)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _set(self, name, index)
         return index
 
     def component(self, cid: str) -> Component:
@@ -182,10 +254,14 @@ EMPTY = TangleDiagram(0, 0, (), ())
 # ── Validation ────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+class Violation(_Value):
+    """One broken structural invariant: a stable code and a message."""
+
+    __slots__ = _fields = ("code", "message")
+
+    def __init__(self, code: str, message: str) -> None:
+        _set(self, "code", code)
+        _set(self, "message", message)
 
 
 def _bad_name(name: str) -> bool:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice
 
 from .diagram import (
@@ -51,6 +50,8 @@ from .diagram import (
     Singular,
     TangleDiagram,
     TangleError,
+    _set,
+    _Value,
     component_tokens,
 )
 # Unused here, but bench/spans.py wraps from_tokens and validate in this
@@ -61,11 +62,15 @@ MAX_CHORDS = 1_000_000
 MAX_TOKEN_CHARS = 1_000
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    col_start: int
-    col_end: int
+class SourceSpan(_Value):
+    """Where a parse error is: a 1-based line and its columns."""
+
+    __slots__ = _fields = ("line", "col_start", "col_end")
+
+    def __init__(self, line: int, col_start: int, col_end: int) -> None:
+        _set(self, "line", line)
+        _set(self, "col_start", col_start)
+        _set(self, "col_end", col_end)
 
     def __str__(self) -> str:
         return f"line {self.line}, cols {self.col_start}-{self.col_end}"

@@ -37,11 +37,10 @@ t1..tn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .diagram import Chord, Classical, TangleDiagram, TangleError
+from .diagram import Chord, Classical, TangleDiagram, TangleError, _set, _Value
 # mono and zero stay bound in this module: bench/spans.py wraps them here.
 from .laurent import Exponents, LaurentPoly, RationalLike, as_fraction, mono, zero  # noqa: F401
 
@@ -50,9 +49,11 @@ class InvariantError(TangleError):
     """Invariant evaluated outside its preconditions."""
 
 
-@dataclass(frozen=True)
-class IndexValue:
-    signed: int
+class IndexValue(_Value):
+    __slots__ = _fields = ("signed",)
+
+    def __init__(self, signed: int) -> None:
+        _set(self, "signed", signed)
 
     @property
     def absolute(self) -> int:
@@ -271,17 +272,20 @@ def long_ordered_polynomial(diagram: TangleDiagram) -> LaurentPoly:
 # ── Report assembly ───────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Value):
     """All invariant values of one diagram at fixed (a, b)."""
 
-    a: Fraction
-    b: Fraction
-    psc: LaurentPoly
-    plk: LaurentPoly
-    plk_laurent: LaurentPoly
-    vlk: Matrix
-    wriggle: Matrix
+    __slots__ = _fields = ("a", "b", "psc", "plk", "plk_laurent", "vlk", "wriggle")
+
+    def __init__(self, a: Fraction, b: Fraction, psc: LaurentPoly, plk: LaurentPoly,
+                 plk_laurent: LaurentPoly, vlk: Matrix, wriggle: Matrix) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "psc", psc)
+        _set(self, "plk", plk)
+        _set(self, "plk_laurent", plk_laurent)
+        _set(self, "vlk", vlk)
+        _set(self, "wriggle", wriggle)
 
     def to_json_dict(self) -> dict:
         return {

@@ -78,6 +78,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self._nvars, self._terms)
+
     @property
     def nvars(self) -> int:
         return self._nvars

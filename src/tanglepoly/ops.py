@@ -13,8 +13,6 @@ compare invariant values across the gluing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (
     BoundaryPoint,
     ChordKind,
@@ -25,6 +23,8 @@ from .diagram import (
     Side,
     TangleDiagram,
     TangleError,
+    _set,
+    _Value,
     component_tokens,  # noqa: F401  bench/spans.py wraps it in this module
     from_tokens,
 )
@@ -47,16 +47,19 @@ class GlueError(TangleError):
 Constituent = tuple[str, int]   # ("upper" | "lower", 1-based input component number)
 
 
-@dataclass(frozen=True)
-class GlueResult:
-    diagram: TangleDiagram
-    # variable identifications (upper component number, lower component
-    # number), 1-based, one per upper/lower adjacency inside a merge
-    relations: tuple[tuple[int, int], ...]
-    # per result component, the ordered constituents concatenated into it;
-    # numbers refer to each input's component order (same numbering as the
-    # relations and the invariants' variables)
-    component_map: tuple[tuple[Constituent, ...], ...]
+class GlueResult(_Value):
+    __slots__ = _fields = ("diagram", "relations", "component_map")
+
+    def __init__(self, diagram: TangleDiagram, relations: tuple[tuple[int, int], ...],
+                 component_map: tuple[tuple[Constituent, ...], ...]) -> None:
+        _set(self, "diagram", diagram)
+        # variable identifications (upper component number, lower component
+        # number), 1-based, one per upper/lower adjacency inside a merge
+        _set(self, "relations", relations)
+        # per result component, the ordered constituents concatenated into it;
+        # numbers refer to each input's component order (same numbering as the
+        # relations and the invariants' variables)
+        _set(self, "component_map", component_map)
 
     def variable_maps(self) -> tuple[dict[int, int], dict[int, int]]:
         """0-based variable position maps (upper -> result, lower -> result)

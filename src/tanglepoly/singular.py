@@ -16,10 +16,9 @@ invariants in this package all have order exactly one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .diagram import ChordKind, Classical, TangleDiagram, TangleError, _splice
+from .diagram import ChordKind, Classical, TangleDiagram, TangleError, _set, _splice, _Value
 from .laurent import LaurentPoly
 
 
@@ -27,11 +26,13 @@ class ResolutionError(TangleError):
     """Resolution does not match the diagram's singular chords."""
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(_Value):
     """A choice of +1 or -1 for every singular chord of a diagram."""
 
-    assignment: Mapping[str, int]
+    __slots__ = _fields = ("assignment",)
+
+    def __init__(self, assignment: Mapping[str, int]) -> None:
+        _set(self, "assignment", assignment)
 
     @property
     def weight(self) -> int:

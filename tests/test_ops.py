@@ -363,23 +363,26 @@ def test_connect_never_lists_tokens(monkeypatch):
 
 
 def test_connect_rejects_inconsistent_chords():
-    from dataclasses import replace
-
-    from tanglepoly.diagram import Endpoint, component_tokens
+    from tanglepoly.diagram import Chord, Component, Endpoint, TangleDiagram, component_tokens
     from rebuild_oracle import connect_by_tokens
 
     good = clasp()
     first, second = good.chords
     a, b = good.components
+
+    def with_chords(*chords):
+        return TangleDiagram(good.top, good.bottom, good.components, chords)
+
     broken = {
-        "unknown component": replace(good, chords=(
-            replace(first, end_b=Endpoint("Z", 0)), second)),
-        "position out of range": replace(good, chords=(
-            first, replace(second, end_b=Endpoint(b.cid, len(b.visits))))),
-        "slot taken": replace(good, chords=(
-            first, replace(second, end_a=first.end_a))),
-        "uncovered visit": replace(good, components=(
-            replace(a, visits=a.visits + ("3",)), b)),
+        "unknown component": with_chords(
+            Chord(first.label, first.end_a, Endpoint("Z", 0), first.kind), second),
+        "position out of range": with_chords(
+            first, Chord(second.label, second.end_a, Endpoint(b.cid, len(b.visits)),
+                         second.kind)),
+        "slot taken": with_chords(
+            first, Chord(second.label, first.end_a, second.end_b, second.kind)),
+        "uncovered visit": TangleDiagram(good.top, good.bottom, (
+            Component(a.cid, a.visits + ("3",), a.start, a.end), b), good.chords),
     }
     for name, bad in broken.items():
         with pytest.raises(DiagramError) as expected:
@@ -394,18 +397,19 @@ def test_connect_rejects_inconsistent_chords():
 
 
 def test_connect_rejects_unpaired_interface_ends():
-    from dataclasses import replace
+    from tanglepoly.diagram import Component, TangleDiagram
 
     two = parse("tangle 2 2\ncomponent A long T1:in B1:out\ncomponent B long T2:in B2:out\n")
     a, b = two.components
     one = identity_braid(1)
     unpaired = [
         # B ends at B2 of a one-point bottom
-        (replace(two, bottom=1), one),
+        (TangleDiagram(two.top, 1, two.components, two.chords), one),
         # A and B both end at B1
-        (replace(two, bottom=1, components=(a, replace(b, end=a.end))), one),
+        (TangleDiagram(two.top, 1, (a, Component(b.cid, b.visits, b.start, a.end)), two.chords),
+         one),
         # B starts at T2 of a one-point top
-        (one, replace(two, top=1)),
+        (one, TangleDiagram(1, two.bottom, two.components, two.chords)),
     ]
     for upper, lower in unpaired:
         assert validate(upper) or validate(lower)
