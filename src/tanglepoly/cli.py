@@ -121,13 +121,61 @@ def _report_lines(report: InvariantReport) -> list[str]:
     return lines
 
 
-def _emit(args, text_lines: list[str], json_obj) -> None:
+def _json_text(value, indent: str, string) -> str:
+    """The text of ``json.dumps(value, indent=2)`` for the dicts with str
+    keys, lists, tuples, strs, ints, True, False and None that the commands
+    emit; any other type raises TypeError.  ``indent`` is a newline and the
+    indentation of the line where ``value`` starts, a bare newline at the
+    top; ``string`` is json's ASCII escaper,
+    ``json.encoder.encode_basestring_ascii``.  The pieces are joined once."""
+    parts: list[str] = []
+    put = parts.append
+
+    def write(value, indent: str) -> None:
+        if isinstance(value, str):
+            put(string(value))
+        elif value is None or value is True or value is False:
+            put("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif not isinstance(value, (dict, list, tuple)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        elif not value:
+            put("{}" if isinstance(value, dict) else "[]")
+        elif isinstance(value, dict):
+            put("{")
+            inner = sep = indent + "  "
+            for key, item in value.items():
+                put(f"{sep}{string(key)}: ")
+                write(item, inner)
+                sep = "," + inner
+            put(indent + "}")
+        elif {*map(type, value)} == {int}:  # every exps list and vlk row
+            inner = indent + "  "
+            put(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{indent}]")
+        else:
+            put("[")
+            inner = sep = indent + "  "
+            for item in value:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(indent + "]")
+
+    write(value, indent)
+    return "".join(parts)
+
+
+def _emit(args, text_lines, json_obj) -> None:
+    """Print the output in ``args.format``: ``text_lines`` and ``json_obj``
+    take no arguments and build the lines of text and the JSON value, and
+    only the one asked for is called."""
     if args.format == "json":
         import json  # here, so that text output does not pay for its import
 
-        print(json.dumps(json_obj, indent=2))
+        print(_json_text(json_obj(), "\n", json.encoder.encode_basestring_ascii))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(text_lines()))
 
 
 def _require_classical(diagram: TangleDiagram, path: str) -> None:
@@ -149,7 +197,7 @@ def _cmd_compute(args) -> int:
     diagram = _load(path)
     _require_classical(diagram, path)
     report = invariant_report(diagram, args.a, args.b)
-    _emit(args, _report_lines(report), report.to_json_dict())
+    _emit(args, lambda: _report_lines(report), report.to_json_dict)
     return EXIT_OK
 
 
@@ -183,16 +231,16 @@ def _cmd_fuzz(args) -> int:
                     "after": serialize(after),
                 }
                 # a serialized diagram ends in exactly one newline
-                _emit(args, [f"FAIL trial={trial} step={step}",
-                             "--- diagram before the move ---", failure["before"][:-1],
-                             "--- diagram after the move ---", failure["after"][:-1]],
-                      failure)
+                _emit(args, lambda: [f"FAIL trial={trial} step={step}",
+                                     "--- diagram before the move ---", failure["before"][:-1],
+                                     "--- diagram after the move ---", failure["after"][:-1]],
+                      lambda: failure)
                 return EXIT_FUZZ_FAIL
             before = after
-    summary = {"ok": True, "trials": args.trials, "steps": args.steps,
-               "moves": moves_done}
-    _emit(args, [f"fuzz ok: trials={args.trials} steps={args.steps} "
-                 f"moves={moves_done}"], summary)
+    _emit(args, lambda: [f"fuzz ok: trials={args.trials} steps={args.steps} "
+                         f"moves={moves_done}"],
+          lambda: {"ok": True, "trials": args.trials, "steps": args.steps,
+                   "moves": moves_done})
     return EXIT_OK
 
 
@@ -220,17 +268,23 @@ def _cmd_sum(args) -> int:
                                     reports["lower"])
         verdict = "PASS" if all(checks.values()) else "FAIL"
 
-    lines: list[str] = []
-    for name, report in reports.items():
-        lines.append(f"[{name}]")
-        lines += _report_lines(report)
-    lines.append("relations: " + " ".join(
-        f"t{i}=u{j}" for i, j in glue.relations))
-    lines.append(f"additivity: {verdict}")
-    json_obj = {name: report.to_json_dict() for name, report in reports.items()}
-    json_obj["relations"] = [list(pair) for pair in glue.relations]
-    json_obj["additivity"] = verdict
-    _emit(args, lines, json_obj)
+    def text_lines() -> list[str]:
+        lines: list[str] = []
+        for name, report in reports.items():
+            lines.append(f"[{name}]")
+            lines += _report_lines(report)
+        lines.append("relations: " + " ".join(
+            f"t{i}=u{j}" for i, j in glue.relations))
+        lines.append(f"additivity: {verdict}")
+        return lines
+
+    def json_obj() -> dict:
+        obj = {name: report.to_json_dict() for name, report in reports.items()}
+        obj["relations"] = [list(pair) for pair in glue.relations]
+        obj["additivity"] = verdict
+        return obj
+
+    _emit(args, text_lines, json_obj)
     return EXIT_OK
 
 
@@ -251,21 +305,19 @@ def _cmd_derivative(args) -> int:
             psc += report.psc.scale(resolution.weight)
             plk += report.plk.scale(resolution.weight)
             plk_l += report.plk_laurent.scale(resolution.weight)
-    lines = [
+    _emit(args, lambda: [
         f"singular chords: {singular_count}",
         f"a: {args.a}",
         f"b: {args.b}",
         f"psc: {psc.render()}",
         f"plk: {plk.render()}",
         f"plkL: {plk_l.render()}",
-    ]
-    json_obj = {
+    ], lambda: {
         "singular": singular_count,
         "psc": psc.to_json_terms(),
         "plk": {"a": str(args.a), "b": str(args.b), "value": plk.to_json_terms()},
         "plkL": {"a": str(args.a), "b": str(args.b), "value": plk_l.to_json_terms()},
-    }
-    _emit(args, lines, json_obj)
+    })
     return EXIT_OK
 
 

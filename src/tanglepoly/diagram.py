@@ -116,6 +116,15 @@ class Endpoint(_Value):
         _set(self, "component", component)
         _set(self, "position", position)
 
+    # _Value's methods inline, for the many endpoint comparisons of canonical
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.component == other.component and self.position == other.position
+
+    def __hash__(self) -> int:
+        return hash((self.component, self.position))
+
 
 class Classical(_Value):
     """A classical crossing: sign and which endpoint ('a' or 'b') is the
@@ -153,6 +162,16 @@ class Chord(_Value):
         _set(self, "end_a", end_a)
         _set(self, "end_b", end_b)
         _set(self, "kind", kind)
+
+    # _Value's methods inline, for the many chord comparisons of canonical
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.label == other.label and self.end_a == other.end_a
+                and self.end_b == other.end_b and self.kind == other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.end_a, self.end_b, self.kind))
 
     @property
     def is_classical(self) -> bool:

@@ -15,6 +15,7 @@ position k renders as ``t{k+1}``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
@@ -36,7 +37,7 @@ def _term_sort_key(exps: Exponents) -> tuple[int, tuple[int, ...]]:
     # Graded order: total degree first, then reverse-lexicographic, so that
     # among the degree-0 cross terms t1*t2^-1 precedes t1^-1*t2 and the
     # constant term precedes t1.
-    return (sum(exps), tuple(-e for e in exps))
+    return (sum(exps), tuple(map(neg, exps)))
 
 
 class LaurentPoly:

@@ -530,3 +530,121 @@ def test_fuzz_memory_does_not_grow_with_steps(capsys, tmp_path):
             tracemalloc.stop()
         assert code == 0 and f"moves={steps}" in out
     assert peaks[160] <= 1.5 * peaks[40], peaks
+
+
+def _json_text(value):
+    from json.encoder import encode_basestring_ascii
+
+    from tanglepoly.cli import _json_text
+
+    return _json_text(value, "\n", encode_basestring_ascii)
+
+
+def test_json_writer_matches_json_dumps_on_command_output(capsys, monkeypatch, tmp_path):
+    # every JSON value compute, derivative, fuzz and sum print, on inputs of
+    # 0 to 16 components, against json.dumps
+    import random
+
+    import tanglepoly.cli as cli
+    from tanglepoly import serialize
+    from helpers import random_diagram, random_string_link
+
+    written = []
+    write = cli._json_text
+
+    def spy(value, indent, string):
+        text = write(value, indent, string)
+        written.append((value, text))
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    rng = random.Random(18)
+    paths = {name: tmp_path / f"{name}.tangle"
+             for name in ("classical", "singular", "upper", "lower")}
+    runs = []
+    for n_comp in range(17):
+        for _ in range(2):
+            if n_comp:
+                diagrams = {
+                    "classical": random_diagram(rng, n_comp, 12),
+                    "singular": random_diagram(rng, n_comp, 8, n_singular=rng.randint(0, 2)),
+                }
+                texts = {name: serialize(d) for name, d in diagrams.items()}
+            else:
+                texts = {"classical": "tangle 0 0\n", "singular": "tangle 0 0\n"}
+            texts["upper"], texts["lower"] = (
+                serialize(random_string_link(rng, n_comp, 10 if n_comp else 0))
+                for _ in range(2))
+            for name, text in texts.items():
+                paths[name].write_text(text)
+            flags = rng.choice(((), ("--a=2/3", "--b=-5")))
+            for argv in (("compute", "-i", paths["classical"]),
+                         ("derivative", "-i", paths["singular"]),
+                         ("fuzz", "-i", paths["classical"], "--steps", "6", "--trials", "1"),
+                         ("sum", "-i", paths["upper"], "-i", paths["lower"])):
+                code, out, _ = run(capsys, *map(str, argv), *flags, "--format", "json")
+                assert code == 0
+                runs.append(out)
+    assert len(written) == len(runs) == 17 * 2 * 4
+    for (value, text), out in zip(written, runs):
+        assert text == json.dumps(value, indent=2)
+        assert out == text + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    'a "quoted" word', "back\\slash\\", "\x00\x08\t\n\x0c\r\x1b\x1f\x7f", "\u00e9 \u00fc \u00df",
+    "line\u2028para\u2029", "\U0001d54b", "", 0, -7, 10 ** 40, True, False, None,
+    [], {}, (), [[]], [{}], {"": []}, [1, [2, [3, []]]], (1, 2, 3), ((), ("x", 1)),
+    [True, False, None], [1, True, 0], [0, False], {"k\"ey\u2028": "v\\", "n": [-1, 0, 1]},
+    {"a": {"b": {"c": [(1, -2), [], {}]}}},
+])
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1, 2}, [1, 0.5], {"a": [Fraction(3)]},
+                                   {"a": {"b"}}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+@pytest.mark.parametrize("fmt, used, unused", [("text", "render", "to_json_terms"),
+                                                ("json", "to_json_terms", "render")])
+def test_only_the_asked_for_format_is_built(capsys, monkeypatch, clasp_file, singular_file,
+                                            fmt, used, unused):
+    from tanglepoly.laurent import LaurentPoly
+
+    calls = []
+    method = getattr(LaurentPoly, used)
+
+    def counted(self):
+        calls.append(self)
+        return method(self)
+
+    def refused(self):
+        raise AssertionError(f"--format {fmt} called LaurentPoly.{unused}")
+
+    monkeypatch.setattr(LaurentPoly, used, counted)
+    monkeypatch.setattr(LaurentPoly, unused, refused)
+    for argv in (("compute", "-i", clasp_file),
+                 ("sum", "-i", clasp_file, "-i", clasp_file),
+                 ("derivative", "-i", singular_file)):
+        calls.clear()
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out
+        # the spy sees the format that was built
+        assert len(calls) == (9 if argv[0] == "sum" else 3)
+
+
+def test_fuzz_success_output_in_both_formats(capsys, clasp_file):
+    args = ("fuzz", "-i", clasp_file, "--steps", "25", "--trials", "4", "--seed", "7")
+    code, text, _ = run(capsys, *args)
+    assert code == 0
+    moves = int(text.rsplit("moves=", 1)[1])
+    assert moves > 0
+    assert text == f"fuzz ok: trials=4 steps=25 moves={moves}\n"
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"ok": True, "trials": 4, "steps": 25, "moves": moves},
+                             indent=2) + "\n"
