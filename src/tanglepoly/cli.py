@@ -50,12 +50,10 @@ EXIT_SINGULAR = 3
 EXIT_FUZZ_FAIL = 4
 EXIT_GLUE = 5
 
-# Input bounds, checked before any work: derivative keeps its bound on k
-# singular chords, though it resolves them only for k <= 1; gen builds a + b
-# chords; fuzz makes trials * steps moves, each on a diagram of at most cap
-# chords or the input's count; Fraction expands the digits of a coefficient
-# (and 1e<k> to 10**k), so its text is bounded and exponent notation refused.
-MAX_SINGULAR_CHORDS = 16
+# Input bounds, checked before any work: gen builds a + b chords; fuzz makes
+# trials * steps moves, each on a diagram of at most cap chords or the
+# input's count; Fraction expands the digits of a coefficient (and 1e<k> to
+# 10**k), so its text is bounded and exponent notation refused.
 MAX_GEN_CHORDS = MAX_CHORDS  # so that gen output always parses back
 MAX_FUZZ_STEPS = 10_000
 MAX_FUZZ_TRIALS = 10_000
@@ -82,13 +80,24 @@ def _rational(text: str) -> Fraction:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            # the bytes under stdin; a text-only stream (io.StringIO) is read as is
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines counted as parse counts them, by str.splitlines
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise _CliError(EXIT_PARSE, f"{path}: byte 0x{data[exc.start]:02x} "
+                        f"is not UTF-8 (line {line})")
 
 
 def _load(path: str) -> TangleDiagram:
@@ -289,13 +298,8 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_derivative(args) -> int:
-    path = _single_input(args)
-    diagram = _load(path)
+    diagram = _load(_single_input(args))
     singular_count = sum(1 for c in diagram.chords if not c.is_classical)
-    if singular_count > MAX_SINGULAR_CHORDS:
-        raise _CliError(
-            EXIT_PARSE, f"{path}: {singular_count} singular chords; derivative "
-            f"takes at most {MAX_SINGULAR_CHORDS}")
     # Both resolutions of a singular chord weigh +frame at end_a, -frame at
     # end_b: each term depends on one choice at most, so k >= 2 sums to 0.
     psc = plk = plk_l = zero(len(diagram.components))

@@ -8,14 +8,15 @@ evaluation at t=1, canonical text rendering, and a JSON term-list form.
 
 Coefficients are `fractions.Fraction` throughout; floats are rejected so that
 cancellation (e.g. a*m + b*n = 0 for suitable integers m, n) is always exact.
-Exponent vectors are dense tuples, one entry per variable; variable at
-position k renders as ``t{k+1}``.
+Exponent vectors are dense tuples of ints (``operator.index`` refuses a float
+or Fraction exponent), one entry per variable; variable at position k
+renders as ``t{k+1}``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
+from operator import index, neg
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
@@ -55,7 +56,7 @@ class LaurentPoly:
             raise ValueError("variable count must be nonnegative")
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(index(e) for e in exps)
             if len(key) != nvars:
                 raise ValueError(
                     f"exponent vector {key} has length {len(key)}, expected {nvars}"
@@ -101,7 +102,7 @@ class LaurentPoly:
         return bool(self._terms)
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(int(e) for e in exps), Fraction(0))
+        return self._terms.get(tuple(index(e) for e in exps), Fraction(0))
 
     def _check_compatible(self, other: "LaurentPoly") -> None:
         if not isinstance(other, LaurentPoly):
@@ -210,13 +211,13 @@ def zero(nvars: int) -> LaurentPoly:
 
 def mono(coeff: RationalLike, exps: Iterable[int]) -> LaurentPoly:
     """Single-term polynomial; the zero polynomial when coeff is 0."""
-    key = tuple(int(e) for e in exps)
+    key = tuple(index(e) for e in exps)
     return LaurentPoly(len(key), {key: coeff})
 
 
 def from_json_terms(nvars: int, items: Iterable[Mapping]) -> LaurentPoly:
     terms: dict[Exponents, Fraction] = {}
     for item in items:
-        exps = tuple(int(e) for e in item["exps"])
+        exps = tuple(index(e) for e in item["exps"])
         terms[exps] = terms.get(exps, Fraction(0)) + as_fraction(item["coeff"])
     return LaurentPoly(nvars, terms)

@@ -1,16 +1,21 @@
-"""Slow reference for the canonical basepoint of a closed component.
+"""Slow references for the canonical basepoint of a closed component and
+for diagram equality.
 
 ``canonical`` picks each closed component's basepoint by a rule read off
 its smallest chord label.  This module keeps the search that rule replaces,
 as a test oracle: build the local canonical key of every rotation and keep
 the smallest, O(V^2) per component.
+
+``equal_diagrams`` compares canonical forms and nothing else.  It used to
+reject on cheaper differences first; ``equal_diagrams_by_prechecks`` keeps
+that version as its oracle.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from tanglepoly import TangleDiagram
+from tanglepoly import TangleDiagram, canonical
 from tanglepoly.diagram import Component, Token, _flip_kind, _kind_key, component_tokens
 from rebuild_oracle import kind_map, rebuild
 
@@ -64,3 +69,20 @@ def canonical_by_search(diagram: TangleDiagram) -> TangleDiagram:
                 row = tokens[comp.cid]
                 tokens[comp.cid] = row[r:] + row[:r]
     return rebuild(diagram, tokens, kind_map(diagram))
+
+
+def equal_diagrams_by_prechecks(left: TangleDiagram, right: TangleDiagram) -> bool:
+    """Structural equality up to rotation of each closed component's cyclic
+    visit sequence.  Labels, component ids and component order all count."""
+    if left == right:
+        return True
+    if (left.top, left.bottom) != (right.top, right.bottom):
+        return False
+    if len(left.components) != len(right.components):
+        return False
+    for lc, rc in zip(left.components, right.components):
+        if (lc.cid, lc.start, lc.end, len(lc.visits)) != (rc.cid, rc.start, rc.end, len(rc.visits)):
+            return False
+    if {c.label for c in left.chords} != {c.label for c in right.chords}:
+        return False
+    return canonical(left) == canonical(right)

@@ -1,6 +1,9 @@
 """Command-line surface: values, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,8 @@ from helpers import (
     SINGULAR_VIRTUAL_TREFOIL_TEXT,
     VIRTUAL_TREFOIL_TEXT,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -222,31 +227,34 @@ def test_derivative_builds_two_reports_at_one_singular_chord(capsys, singular_fi
     assert len(built) == 2
 
 
-def test_derivative_builds_no_report_at_the_bound(capsys, tmp_path, monkeypatch):
-    from tanglepoly.cli import MAX_SINGULAR_CHORDS
-
-    built = _count_reports(monkeypatch)
-    visits = " ".join(f"S{n}+" for n in range(1, MAX_SINGULAR_CHORDS + 1))
-    path = tmp_path / "many.tangle"
+def _singular_file(tmp_path, k):
+    """One closed component that meets each of k singular chords twice."""
+    visits = " ".join(f"S{n}+" for n in range(1, k + 1))
+    path = tmp_path / f"singular{k}.tangle"
     path.write_text(f"tangle 0 0\ncomponent K closed\n{visits} {visits}\n")
-    code, out, _ = run(capsys, "derivative", "-i", str(path))
-    assert code == 0
-    assert out == (f"singular chords: {MAX_SINGULAR_CHORDS}\na: 1\nb: 1\n"
-                   "psc: 0\nplk: 0\nplkL: 0\n")
+    return str(path)
+
+
+def test_derivative_builds_no_report_at_the_bound(capsys, tmp_path, monkeypatch):
+    built = _count_reports(monkeypatch)
+    for k in (16, 17, 40):
+        code, out, _ = run(capsys, "derivative", "-i", _singular_file(tmp_path, k))
+        assert code == 0
+        assert out == f"singular chords: {k}\na: 1\nb: 1\npsc: 0\nplk: 0\nplkL: 0\n"
     assert built == []
 
 
-def test_derivative_singular_bound(capsys, tmp_path):
-    from tanglepoly.cli import MAX_SINGULAR_CHORDS
-
-    k = MAX_SINGULAR_CHORDS + 1
-    visits = " ".join(f"S{n}+" for n in range(1, k + 1))
-    path = tmp_path / "many.tangle"
-    path.write_text(f"tangle 0 0\ncomponent K closed\n{visits} {visits}\n")
-    code, out, err = run(capsys, "derivative", "-i", str(path))
-    assert code == 2
-    assert out == ""
-    assert f"{k} singular chords" in err
+def test_derivative_past_sixteen_singular_chords(capsys, tmp_path):
+    # the derivative of an order-one invariant vanishes at k >= 2, so k has no bound
+    for k in (17, 40):
+        path = _singular_file(tmp_path, k)
+        code, out, err = run(capsys, "derivative", "-i", path)
+        assert (code, err) == (0, "")
+        assert out == f"singular chords: {k}\na: 1\nb: 1\npsc: 0\nplk: 0\nplkL: 0\n"
+        code, out, err = run(capsys, "derivative", "-i", path, "--format", "json")
+        assert (code, err) == (0, "")
+        zero = {"a": "1", "b": "1", "value": []}
+        assert json.loads(out) == {"singular": k, "psc": [], "plk": zero, "plkL": zero}
 
 
 def test_fuzz_success_and_determinism(capsys, clasp_file):
@@ -455,6 +463,41 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "compute", "-i", "-", "--a", "1", "--b", "2")
     assert code == 0
     assert "plk: 3 t1 t2" in out
+
+
+NOT_UTF8_TEXT = b"tangle 0 0\ncomponent K closed\nO1+ U1\xff+\n"
+
+
+def _run_on_stdin(data: bytes):
+    """``tanglepoly compute -i -`` in a fresh interpreter, fed ``data``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tanglepoly.cli", "compute", "-i", "-"],
+                          input=data, env=env, capture_output=True)
+
+
+def test_input_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.tangle"
+    path.write_bytes(NOT_UTF8_TEXT)
+    code, out, err = run(capsys, "compute", "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err.rstrip().endswith(f"{path}: byte 0xff is not UTF-8 (line 3)")
+
+
+def test_stdin_that_is_not_utf8():
+    proc = _run_on_stdin(NOT_UTF8_TEXT)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.rstrip().endswith(b"-: byte 0xff is not UTF-8 (line 3)")
+    # lines are counted as the parser counts them, so \r ends one too
+    proc = _run_on_stdin(b"tangle 0 0\r\n\r" + NOT_UTF8_TEXT.split(b"\n", 1)[1])
+    assert proc.stderr.rstrip().endswith(b"(line 4)")
+
+
+def test_stdin_bytes_read_as_a_file_is(capsys, clasp_file):
+    code, out, _ = run(capsys, "compute", "-i", clasp_file)
+    assert code == 0
+    proc = _run_on_stdin(CLASP_TEXT.replace("\n", "\r\n").encode())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
 
 
 def test_parser_is_built_once_and_calls_do_not_leak(capsys, clasp_file, trefoil_file):

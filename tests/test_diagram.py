@@ -15,13 +15,14 @@ from tanglepoly import (
     Side,
     Singular,
     TangleDiagram,
+    canonical,
     equal_diagrams,
     from_tokens,
     parse,
     reverse_component,
     validate,
 )
-from tanglepoly.diagram import _flip_kind
+from tanglepoly.diagram import _flip_kind, component_tokens
 from helpers import clasp, random_diagram, virtual_trefoil
 from rebuild_oracle import from_tokens_reference
 
@@ -129,6 +130,93 @@ def test_rotation_equality_on_kink_circle():
     a = parse("tangle 0 0\ncomponent K closed\nO1+ U1+\n")
     b = parse("tangle 0 0\ncomponent K closed\nU1+ O1+\n")
     assert equal_diagrams(a, b)
+
+
+def _changed(rng, d):
+    """``d`` after one random change of the kind the old pre-checks looked
+    for, or after a rotation, a sign flip or a reshuffle, rebuilt through
+    ``from_tokens``; an independent diagram one time in ten."""
+    if rng.random() < 0.1:
+        return random_diagram(rng, max_components=4, max_chords=12,
+                              n_singular=rng.randint(0, 2))
+    tokens = component_tokens(d)
+    specs = [[c.cid, c.start, c.end, tokens[c.cid]] for c in d.components]
+    kinds = {c.label: c.kind for c in d.chords}
+    spec = rng.choice(specs)
+    change = rng.choice(("rotate", "add", "rename", "swap", "boundary", "move",
+                         "relabel", "flip", "shuffle"))
+    if change == "rotate":
+        for other in specs:
+            if other[1] is None and other[3]:
+                r = rng.randrange(len(other[3]))
+                other[3] = other[3][r:] + other[3][:r]
+    elif change == "add":
+        specs.insert(rng.randint(0, len(specs)), ["extra", None, None, []])
+    elif change == "rename":
+        spec[0] = "renamed"
+    elif change == "swap":
+        i, j = rng.randrange(len(specs)), rng.randrange(len(specs))
+        specs[i], specs[j] = specs[j], specs[i]
+    elif change == "boundary" and spec[1] is not None:
+        start, end = spec[1], spec[2]
+        spec[1] = BoundaryPoint(end.side, end.index, Direction.IN)
+        spec[2] = BoundaryPoint(start.side, start.index, Direction.OUT)
+    elif change == "move" and spec[3]:
+        token = spec[3].pop(rng.randrange(len(spec[3])))
+        target = rng.choice(specs)[3]
+        target.insert(rng.randint(0, len(target)), token)
+    elif change == "relabel" and kinds:
+        label = rng.choice(sorted(kinds))
+        kinds["x" + label] = kinds.pop(label)
+        for other in specs:
+            other[3] = [("x" + l if l == label else l, tag) for l, tag in other[3]]
+    elif change == "flip" and kinds:
+        label = rng.choice(sorted(kinds))
+        kind = kinds[label]
+        kinds[label] = (Classical(-kind.sign, kind.over) if isinstance(kind, Classical)
+                        else Singular(-kind.frame))
+    elif change == "shuffle":
+        rng.shuffle(spec[3])
+    return from_tokens(d.top, d.bottom, specs, kinds)
+
+
+def _first_difference(left, right):
+    """The old pre-check that told ``left`` and ``right`` apart first, or
+    whether their canonical forms agree when none did."""
+    if left == right:
+        return "identical"
+    if (left.top, left.bottom) != (right.top, right.bottom):
+        return "top/bottom"
+    if len(left.components) != len(right.components):
+        return "component count"
+    for lc, rc in zip(left.components, right.components):
+        for name, l, r in (("id", lc.cid, rc.cid),
+                           ("boundary point", (lc.start, lc.end), (rc.start, rc.end)),
+                           ("visit count", len(lc.visits), len(rc.visits))):
+            if l != r:
+                return name
+    if {c.label for c in left.chords} != {c.label for c in right.chords}:
+        return "label set"
+    return "canonical, equal" if canonical(left) == canonical(right) else "canonical, unequal"
+
+
+def test_equality_matches_prechecks_oracle():
+    from rotation_oracle import equal_diagrams_by_prechecks
+
+    rng = random.Random(1019)
+    seen: dict[str, int] = {}
+    for _ in range(3000):
+        d = random_diagram(rng, max_components=4, max_chords=12,
+                           n_singular=rng.randint(0, 2))
+        pair = [d, _changed(rng, d)]
+        rng.shuffle(pair)
+        assert validate(pair[0]) == validate(pair[1]) == []
+        for left, right in (pair, (d, d)):
+            assert equal_diagrams(left, right) == equal_diagrams_by_prechecks(left, right), pair
+        reason = _first_difference(*pair)
+        seen[reason] = seen.get(reason, 0) + 1
+    # every way the old function returned, each taken many times
+    assert len(seen) == 9 and min(seen.values()) >= 50, seen
 
 
 def _unnormalised(rng, diagram):

@@ -64,6 +64,19 @@ def test_floats_refused():
         as_fraction(0.5)
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.9, 2.0, Fraction(3, 2)])
+def test_non_integer_exponents_refused(exponent):
+    # int() would take these as 0, 1, 2 and 1 without a word
+    with pytest.raises(TypeError):
+        LaurentPoly(1, {(exponent,): 2})
+    with pytest.raises(TypeError):
+        mono(1, [exponent])
+    with pytest.raises(TypeError):
+        mono(1, [1]).coefficient([exponent])
+    with pytest.raises(TypeError):
+        from_json_terms(1, [{"coeff": "1", "exps": [exponent]}])
+
+
 def test_json_terms_round_trip_and_order():
     p = mono(Fraction(2, 3), (1, -1)) + mono(-1, (0, 0)) + mono(1, (-1, 1))
     items = p.to_json_terms()

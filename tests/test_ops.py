@@ -5,7 +5,10 @@ import random
 import pytest
 
 from tanglepoly import (
+    BoundaryPoint,
+    Classical,
     DiagramError,
+    Direction,
     GlueError,
     InvariantError,
     Side,
@@ -13,6 +16,7 @@ from tanglepoly import (
     closure,
     connect,
     equal_diagrams,
+    from_tokens,
     henrich_turaev_polynomial,
     invariant_report,
     is_string_link,
@@ -347,6 +351,55 @@ def test_connect_matches_token_oracle():
                 seen["passenger"] += 1
     # every path through connect is taken many times
     assert min(seen.values()) >= 20, seen
+
+
+def _oriented_tangle(rng, top, bottom, max_chords=8):
+    """A diagram whose top and bottom boundary points are paired at random
+    into long components, each oriented at random, where ``random_diagram``
+    starts every cup and cap at its lower index.  Up to one closed component
+    rides along, and chords are placed as ``random_diagram`` places them."""
+    points = [(Side.TOP, i) for i in range(1, top + 1)]
+    points += [(Side.BOTTOM, i) for i in range(1, bottom + 1)]
+    rng.shuffle(points)
+    n_long = len(points) // 2
+    tokens = [[] for _ in range(n_long + rng.randint(0, 1))]
+    kinds = {}
+    for label in map(str, range(1, rng.randint(0, max_chords) + 1)):
+        kinds[label] = Classical(rng.choice((1, -1)), rng.choice("ab"))
+        for tag in "ab":
+            tokens[rng.randrange(len(tokens))].append((label, tag))
+    specs = []
+    for idx, row in enumerate(tokens):
+        rng.shuffle(row)
+        start = end = None
+        if idx < n_long:
+            (start_side, start_index), (end_side, end_index) = points[2 * idx:2 * idx + 2]
+            start = BoundaryPoint(start_side, start_index, Direction.IN)
+            end = BoundaryPoint(end_side, end_index, Direction.OUT)
+        specs.append((f"c{idx + 1}", start, end, row))
+    return from_tokens(top, bottom, specs, kinds)
+
+
+def test_connect_closes_cycles_under_random_gluing():
+    from rebuild_oracle import connect_by_tokens
+
+    rng = random.Random(37)
+    with_cycle = 0
+    for _ in range(3000):
+        middle = rng.randint(1, 4)
+        upper = _oriented_tangle(rng, rng.randrange(middle % 2, 5, 2), middle)
+        lower = _oriented_tangle(rng, middle, rng.randrange(middle % 2, 5, 2))
+        got = _glue_outcome(connect, upper, lower)
+        assert got == _glue_outcome(connect_by_tokens, upper, lower)
+        glue = got[0]
+        if glue == "error":
+            continue
+        for comp, constituents in zip(glue.diagram.components, glue.component_map):
+            side, number = constituents[0]
+            if comp.is_closed and (upper if side == "upper" else lower).components[number - 1].is_long:
+                with_cycle += 1
+                break
+    assert with_cycle >= 100, with_cycle
 
 
 def test_connect_never_lists_tokens(monkeypatch):
