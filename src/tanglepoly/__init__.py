@@ -69,7 +69,6 @@ from .ops import (
 from .singular import (
     Resolution,
     ResolutionError,
-    all_resolutions,
     resolve,
     vassiliev_derivative,
 )

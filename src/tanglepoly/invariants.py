@@ -42,7 +42,7 @@ from itertools import accumulate
 
 from .diagram import Chord, Classical, TangleDiagram, TangleError, _set, _Value
 # mono and zero stay bound in this module: bench/spans.py wraps them here.
-from .laurent import Exponents, LaurentPoly, RationalLike, as_fraction, mono, zero  # noqa: F401
+from .laurent import Exponents, LaurentPoly, RationalLike, as_parameter, mono, zero  # noqa: F401
 
 
 class InvariantError(TangleError):
@@ -225,7 +225,7 @@ def _linking_family(diagram: TangleDiagram, a: RationalLike, b: RationalLike,
     _require_classical(diagram, what)
     psc_terms, vlk = _normal_form(diagram)
     return _with_links(len(vlk), _fractions(psc_terms), vlk,
-                       as_fraction(a), as_fraction(b), laurent)
+                       as_parameter(a), as_parameter(b), laurent)
 
 
 def linking_polynomial(diagram: TangleDiagram, a: RationalLike,
@@ -302,7 +302,7 @@ class InvariantReport(_Value):
 def invariant_report(diagram: TangleDiagram, a: RationalLike = 1,
                      b: RationalLike = 1) -> InvariantReport:
     """Evaluate every invariant from the diagram's normal form."""
-    a_frac, b_frac = as_fraction(a), as_fraction(b)
+    a_frac, b_frac = as_parameter(a), as_parameter(b)
     _require_classical(diagram, "the self-crossing polynomial")
     psc_ints, vlk = _normal_form(diagram)
     n = len(vlk)

@@ -22,16 +22,31 @@ from typing import Iterable, Iterator, Mapping
 Exponents = tuple[int, ...]
 
 RationalLike = Fraction | int | str
+MAX_RATIONAL_CHARS = 100
 
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an exact rational ('2/3', -5, Fraction) to Fraction.
 
-    Floats are refused: the invariants require exact arithmetic.
+    Floats are refused: the invariants require exact arithmetic.  Text in
+    exponent notation, which Fraction expands to 10**k for 1e<k>, raises
+    ValueError unread.
     """
     if isinstance(value, float):
         raise TypeError("refusing float; pass Fraction, int or 'p/q' text")
-    return Fraction(value)
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError(f"exponent notation is not accepted: {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact rational: {value!r}") from None
+
+
+def as_parameter(value: RationalLike) -> Fraction:
+    """as_fraction for a and b, whose text (unlike a JSON coefficient) is bounded."""
+    if isinstance(value, str) and len(value) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"coefficient longer than {MAX_RATIONAL_CHARS} characters")
+    return as_fraction(value)
 
 
 def _term_sort_key(exps: Exponents) -> tuple[int, tuple[int, ...]]:

@@ -8,18 +8,18 @@ resolutions of a double point must be.
 
 The derivative of an invariant on a diagram with k singular chords is the
 alternating sum over all 2^k resolutions, each weighted by (-1)^(number of
-negative choices).  An invariant has finite type of order <= n when every
-derivative with more than n singular chords vanishes; the polynomial
-invariants in this package all have order exactly one.
+negative choices).  psc, plk and plkL have finite type of order exactly one,
+so vassiliev_derivative builds at most two reports: the diagram's own at
+k = 0, one per resolution at k = 1, and none at k >= 2, where it is 0.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterator, Mapping
+from typing import Mapping
 
 from .diagram import ChordKind, Classical, TangleDiagram, TangleError, _set, _splice, _Value
-from .laurent import LaurentPoly
+from .invariants import invariant_report
+from .laurent import LaurentPoly, RationalLike, as_parameter, zero
 
 
 class ResolutionError(TangleError):
@@ -33,16 +33,6 @@ class Resolution(_Value):
 
     def __init__(self, assignment: Mapping[str, int]) -> None:
         _set(self, "assignment", assignment)
-
-    @property
-    def weight(self) -> int:
-        return -1 if sum(1 for c in self.assignment.values() if c < 0) % 2 else 1
-
-
-def _resolved_kind(frame: int, choice: int) -> Classical:
-    if choice == 1:
-        return Classical(1, "a" if frame == 1 else "b")
-    return Classical(-1, "b" if frame == 1 else "a")
 
 
 def resolve(diagram: TangleDiagram, resolution: Resolution) -> TangleDiagram:
@@ -63,31 +53,28 @@ def resolve(diagram: TangleDiagram, resolution: Resolution) -> TangleDiagram:
         choice = assignment[label]
         if choice not in (1, -1):
             raise ResolutionError(f"bad choice {choice!r} for chord {label!r}")
-        kinds[label] = _resolved_kind(kind.frame, choice)  # type: ignore[union-attr]
+        # end_a is on top exactly when the choice agrees with the frame
+        over = "a" if choice == kind.frame else "b"  # type: ignore[union-attr]
+        kinds[label] = Classical(choice, over)
     return _splice(diagram, {}, kinds)
 
 
-def all_resolutions(diagram: TangleDiagram) -> Iterator[Resolution]:
-    """All 2^k resolutions in a fixed order (chords in diagram order, +1
-    before -1), so alternating sums are deterministic."""
-    labels = [c.label for c in diagram.chords if not c.is_classical]
-    for choices in itertools.product((1, -1), repeat=len(labels)):
-        yield Resolution(dict(zip(labels, choices)))
+def vassiliev_derivative(diagram: TangleDiagram, a: RationalLike = 1, b: RationalLike = 1,
+                         ) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """The derivatives of ``psc``, ``plk`` and ``plkL`` at (a, b).
 
-
-def vassiliev_derivative(diagram: TangleDiagram,
-                         invariant: Callable[[TangleDiagram], LaurentPoly],
-                         ) -> LaurentPoly:
-    """Alternating sum of the invariant over all resolutions.
-
-    With no singular chords this is the invariant itself; with two or more
-    it vanishes for every order-one invariant.
-    """
-    total: LaurentPoly | None = None
-    for resolution in all_resolutions(diagram):
-        value = invariant(resolve(diagram, resolution))
-        if resolution.weight < 0:
-            value = -value
-        total = value if total is None else total + value
-    assert total is not None  # the empty product yields one resolution
-    return total
+    Both resolutions of a singular chord weigh +frame at end_a and -frame at
+    end_b, so each index-kernel term depends on one choice at most: at k >= 2
+    singular chords the derivative of these order-one invariants is 0."""
+    a, b = as_parameter(a), as_parameter(b)  # checked at every k
+    singular = [c.label for c in diagram.chords if not c.is_classical]
+    if len(singular) >= 2:
+        nothing = zero(len(diagram.components))
+        return nothing, nothing, nothing
+    if not singular:
+        report = invariant_report(diagram, a, b)
+        return report.psc, report.plk, report.plk_laurent
+    plus, minus = (invariant_report(resolve(diagram, Resolution({singular[0]: choice})), a, b)
+                   for choice in (1, -1))
+    return (plus.psc - minus.psc, plus.plk - minus.plk,
+            plus.plk_laurent - minus.plk_laurent)

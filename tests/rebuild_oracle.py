@@ -4,32 +4,33 @@ and orientation reversal.
 ``from_tokens``, the moves, ``reverse_component`` and ``resolve`` all build
 through ``diagram._splice``, ``moves`` checks a removal site on its own
 chords, ``connect`` places each input chord straight into the glued rows,
-and ``tanglepoly derivative`` sums one report per resolution, and only for
-at most one singular chord.  This module keeps what that replaces, as a
+and ``vassiliev_derivative`` builds one report per resolution, and only
+for at most one singular chord.  This module keeps what that replaces, as a
 test oracle: ``from_tokens_reference`` assembles a diagram from endpoint
 tokens on its own, every move and every reversal rebuilds the whole diagram
 from its tokens through it, a removal site is checked by listing every site
 of its kind, the walk lists every site of the three removal kinds on each
 step, ``connect_by_tokens`` glues through both inputs' tokens, finding each
 interface point's owner by a scan of the components, ``resolve_by_chords``
-rebuilds every chord of a resolution, and ``derivative_by_sweeps`` writes
-the ``derivative`` output from three sweeps over all 2^k resolutions, one
-per polynomial.
+rebuilds every chord of a resolution, ``sweep_derivative`` is the generic
+finite-type derivative of any invariant, an alternating sum over the 2^k
+resolutions that ``all_resolutions`` lists, and ``derivative_by_sweeps``
+writes the ``derivative`` output from three such sweeps, one per polynomial.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from tanglepoly import (
     LaurentPoly,
     Resolution,
     ResolutionError,
     TangleDiagram,
-    all_resolutions,
     laurent_linking_polynomial,
     linking_polynomial,
     self_crossing_polynomial,
@@ -68,7 +69,6 @@ from tanglepoly.moves import (
     _triangle_pairs,
 )
 from tanglepoly.ops import Constituent, GlueError, GlueResult
-from tanglepoly.singular import _resolved_kind
 
 
 def from_tokens_reference(top: int, bottom: int, components: Iterable[ComponentSpec],
@@ -531,6 +531,14 @@ def connect_by_tokens(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
 # ── Resolutions and the derivative ────────────────────────────────────────
 
 
+def _resolved_kind(frame: int, choice: int) -> Classical:
+    """Frame +1: the positive resolution puts end_a on top; frame -1: end_b.
+    The negative resolution is the opposite over-choice."""
+    if choice == 1:
+        return Classical(1, "a" if frame == 1 else "b")
+    return Classical(-1, "b" if frame == 1 else "a")
+
+
 def resolve_by_chords(diagram: TangleDiagram, resolution: Resolution) -> TangleDiagram:
     """Replace every singular chord by the chosen classical resolution.
 
@@ -558,18 +566,40 @@ def resolve_by_chords(diagram: TangleDiagram, resolution: Resolution) -> TangleD
                          tuple(new_chords))
 
 
-def _sweep(diagram: TangleDiagram,
-           invariant: Callable[[TangleDiagram], LaurentPoly]) -> LaurentPoly:
-    """``vassiliev_derivative`` through ``resolve_by_chords``: the
-    alternating sum of the invariant over all resolutions."""
+def all_resolutions(diagram: TangleDiagram) -> Iterator[Resolution]:
+    """All 2^k resolutions in a fixed order (chords in diagram order, +1
+    before -1), so alternating sums are deterministic."""
+    labels = [c.label for c in diagram.chords if not c.is_classical]
+    for choices in itertools.product((1, -1), repeat=len(labels)):
+        yield Resolution(dict(zip(labels, choices)))
+
+
+def weight(resolution: Resolution) -> int:
+    """(-1)^(number of negative choices)."""
+    return -1 if sum(1 for c in resolution.assignment.values() if c < 0) % 2 else 1
+
+
+def sweep_derivative(diagram: TangleDiagram,
+                     invariant: Callable[[TangleDiagram], LaurentPoly]) -> LaurentPoly:
+    """The finite-type derivative of any invariant: its alternating sum
+    over all resolutions, each built by ``resolve_by_chords``.  With no
+    singular chords this is the invariant itself."""
     total: LaurentPoly | None = None
     for resolution in all_resolutions(diagram):
         value = invariant(resolve_by_chords(diagram, resolution))
-        if resolution.weight < 0:
+        if weight(resolution) < 0:
             value = -value
         total = value if total is None else total + value
     assert total is not None  # the empty product yields one resolution
     return total
+
+
+def sweeps(diagram: TangleDiagram, a, b) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """``sweep_derivative`` of ``psc``, ``plk`` and ``plkL`` at (a, b): what
+    ``vassiliev_derivative(diagram, a, b)`` returns."""
+    return (sweep_derivative(diagram, self_crossing_polynomial),
+            sweep_derivative(diagram, lambda d: linking_polynomial(d, a, b)),
+            sweep_derivative(diagram, lambda d: laurent_linking_polynomial(d, a, b)))
 
 
 def derivative_by_sweeps(diagram: TangleDiagram, a: Fraction, b: Fraction,
@@ -577,9 +607,7 @@ def derivative_by_sweeps(diagram: TangleDiagram, a: Fraction, b: Fraction,
     """The text and JSON output of ``tanglepoly derivative`` at (a, b), each
     polynomial summed over all 2^k resolutions on its own."""
     singular_count = sum(1 for c in diagram.chords if not c.is_classical)
-    psc = _sweep(diagram, self_crossing_polynomial)
-    plk = _sweep(diagram, lambda d: linking_polynomial(d, a, b))
-    plk_l = _sweep(diagram, lambda d: laurent_linking_polynomial(d, a, b))
+    psc, plk, plk_l = sweeps(diagram, a, b)
     lines = [
         f"singular chords: {singular_count}",
         f"a: {a}",

@@ -90,8 +90,10 @@ def test_compute_rational_flag_rejected(capsys, clasp_file):
 
 
 def test_compute_rational_bounds_before_fraction(capsys, clasp_file, monkeypatch):
-    # Fraction('1e<k>') builds 10**k; such text must be refused unread
+    # Fraction('1e<k>') builds 10**k; such text must be refused unread.
+    # laurent.as_fraction reads the text of --a and --b.
     import tanglepoly.cli as cli
+    import tanglepoly.laurent as laurent
 
     seen = []
 
@@ -99,8 +101,9 @@ def test_compute_rational_bounds_before_fraction(capsys, clasp_file, monkeypatch
         seen.extend(arg for arg in args if isinstance(arg, str))
         return Fraction(*args)
 
+    monkeypatch.setattr(laurent, "Fraction", spy)
     monkeypatch.setattr(cli, "Fraction", spy)
-    too_long = "1" * (cli.MAX_RATIONAL_CHARS + 1)
+    too_long = "1" * (laurent.MAX_RATIONAL_CHARS + 1)
     for argv in (["--a", "1e5000"], ["--b=1e999999999"], ["--a", "2E3"],
                  ["--a", too_long]):
         with pytest.raises(SystemExit) as info:
@@ -201,21 +204,17 @@ def test_derivative_matches_sweep_oracle(capsys, tmp_path):
 
 
 def _count_reports(monkeypatch):
-    """Count the reports the CLI builds; fail on any generic sweep."""
-    import tanglepoly.cli as cli
+    """Count the reports that ``vassiliev_derivative`` builds."""
+    import tanglepoly.singular as singular
 
     built = []
-    original = cli.invariant_report
+    original = singular.invariant_report
 
     def counting_report(*args):
         built.append(args)
         return original(*args)
 
-    def no_sweep(*args):
-        raise AssertionError("derivative ran the generic sweep")
-
-    monkeypatch.setattr(cli, "invariant_report", counting_report)
-    monkeypatch.setattr(cli, "vassiliev_derivative", no_sweep)
+    monkeypatch.setattr(singular, "invariant_report", counting_report)
     return built
 
 

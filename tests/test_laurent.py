@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tanglepoly.laurent import LaurentPoly, as_fraction, from_json_terms, mono, zero
+from tanglepoly.laurent import (
+    MAX_RATIONAL_CHARS,
+    LaurentPoly,
+    as_fraction,
+    as_parameter,
+    from_json_terms,
+    mono,
+    zero,
+)
 
 
 def test_mono_zero_coefficient_is_elided():
@@ -64,6 +72,55 @@ def test_floats_refused():
         as_fraction(0.5)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1e5", "exponent notation is not accepted: '1e5'"),
+    ("2E3", "exponent notation is not accepted: '2E3'"),
+    ("1" * (MAX_RATIONAL_CHARS + 1), f"coefficient longer than {MAX_RATIONAL_CHARS} characters"),
+    ("1/0", "not an exact rational: '1/0'"),
+    ("abc", "not an exact rational: 'abc'"),
+], ids=["1e5", "2E3", "101-chars", "1/0", "abc"])
+def test_coefficient_text_refused(text, message, monkeypatch):
+    # Fraction('1e<k>') builds 10**k: exponent notation is refused before
+    # Fraction reads it, through every library entry point.  The parameters
+    # a and b are also bounded in length; coefficients read back are not.
+    import tanglepoly.laurent as laurent
+    from tanglepoly import invariant_report, linking_polynomial, vassiliev_derivative
+    from helpers import clasp
+
+    seen = []
+
+    def spy(*args):
+        seen.extend(arg for arg in args if isinstance(arg, str))
+        return Fraction(*args)
+
+    monkeypatch.setattr(laurent, "Fraction", spy)
+    parameters = [lambda: as_parameter(text), lambda: invariant_report(clasp(), text, 1),
+                  lambda: invariant_report(clasp(), 1, text),
+                  lambda: linking_polynomial(clasp(), text, 1),
+                  lambda: vassiliev_derivative(clasp(), 1, text)]
+    coefficients = [lambda: as_fraction(text), lambda: mono(text, (1,)),
+                    lambda: mono(1, (1,)).scale(text),
+                    lambda: from_json_terms(1, [{"coeff": text, "exps": [1]}])]
+    too_long = message.startswith("coefficient longer")
+    for refused in parameters + ([] if too_long else coefficients):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            refused()
+    if too_long:
+        assert seen == []
+        for read in coefficients:
+            read()
+        assert seen == [text] * len(coefficients)
+    else:
+        assert seen == ([text] * 9 if message.startswith("not an exact") else [])
+
+
+def test_coefficient_text_at_the_bound():
+    longest = "1" * MAX_RATIONAL_CHARS
+    assert as_parameter(longest) == as_fraction(longest) == int(longest)
+    assert as_parameter(" -2/3 ") == Fraction(-2, 3)
+    assert as_fraction("0.5") == Fraction(1, 2)
+
+
 @pytest.mark.parametrize("exponent", [0.5, 1.9, 2.0, Fraction(3, 2)])
 def test_non_integer_exponents_refused(exponent):
     # int() would take these as 0, 1, 2 and 1 without a word
@@ -84,6 +141,16 @@ def test_json_terms_round_trip_and_order():
     assert items[1] == {"coeff": "-1", "exps": [0, 0]}
     assert items[2] == {"coeff": "1", "exps": [-1, 1]}
     assert from_json_terms(2, items) == p
+    # a report's coefficients outgrow the bound on the text of a and b, and
+    # still read back: the clasp's plk at a = 1/9...9, b = 1/9...97
+    from tanglepoly import invariant_report
+    from helpers import clasp
+
+    report = invariant_report(clasp(), "1/" + "9" * 98, "1/" + "9" * 97 + "7")
+    items = report.plk.to_json_terms()
+    assert max(len(item["coeff"]) for item in items) > MAX_RATIONAL_CHARS
+    assert from_json_terms(2, items) == report.plk
+    assert LaurentPoly(2, {tuple(i["exps"]): i["coeff"] for i in items}) == report.plk
 
 
 def test_remap_variables_merges_exponents():

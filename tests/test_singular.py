@@ -1,7 +1,11 @@
-"""Singular diagrams: resolutions and finite-type derivatives."""
+"""Singular diagrams: resolutions and finite-type derivatives.
+
+``vassiliev_derivative`` is checked against ``rebuild_oracle.sweep_derivative``,
+the generic alternating sum over all 2^k resolutions."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +13,8 @@ from tanglepoly import (
     Classical,
     Resolution,
     ResolutionError,
-    all_resolutions,
     equal_diagrams,
+    invariant_report,
     laurent_linking_polynomial,
     linking_polynomial,
     parse,
@@ -24,13 +28,14 @@ from helpers import (
     singular_virtual_trefoil,
     virtual_trefoil,
 )
+from rebuild_oracle import all_resolutions, sweep_derivative, sweeps, weight
 
 
 def test_resolution_weights():
-    assert Resolution({}).weight == 1
-    assert Resolution({"1": 1, "2": 1}).weight == 1
-    assert Resolution({"1": -1, "2": 1}).weight == -1
-    assert Resolution({"1": -1, "2": -1}).weight == 1
+    assert weight(Resolution({})) == 1
+    assert weight(Resolution({"1": 1, "2": 1})) == 1
+    assert weight(Resolution({"1": -1, "2": 1})) == -1
+    assert weight(Resolution({"1": -1, "2": -1})) == 1
 
 
 def test_resolve_no_singular_is_identity():
@@ -73,8 +78,9 @@ def test_all_resolutions_enumeration():
 
 def test_derivative_without_singular_is_invariant():
     d = virtual_trefoil()
-    assert vassiliev_derivative(d, self_crossing_polynomial) == \
-        self_crossing_polynomial(d)
+    assert sweep_derivative(d, self_crossing_polynomial) == self_crossing_polynomial(d)
+    report = invariant_report(d, 2, 3)
+    assert vassiliev_derivative(d, 2, 3) == (report.psc, report.plk, report.plk_laurent)
 
 
 def test_derivative_single_point_expansion():
@@ -82,34 +88,38 @@ def test_derivative_single_point_expansion():
     plus = resolve(d, Resolution({"1": 1}))
     minus = resolve(d, Resolution({"1": -1}))
     expected = self_crossing_polynomial(plus) - self_crossing_polynomial(minus)
-    assert vassiliev_derivative(d, self_crossing_polynomial) == expected
+    assert sweep_derivative(d, self_crossing_polynomial) == expected
+    assert vassiliev_derivative(d)[0] == expected
 
 
 def test_singular_trefoil_derivative_value():
     d = singular_virtual_trefoil()
     expected = poly(1, {(1,): 2, (0,): -2})
-    assert vassiliev_derivative(d, self_crossing_polynomial) == expected
-    assert vassiliev_derivative(d, lambda x: linking_polynomial(x, 1, 2)) == expected
-    assert vassiliev_derivative(
+    assert sweep_derivative(d, self_crossing_polynomial) == expected
+    assert sweep_derivative(d, lambda x: linking_polynomial(x, 1, 2)) == expected
+    assert sweep_derivative(
         d, lambda x: laurent_linking_polynomial(x, 1, 2)) == expected
+    assert vassiliev_derivative(d, 1, 2) == (expected, expected, expected)
 
 
 def test_two_double_points_vanish():
     rng = random.Random(29)
     for _ in range(25):
         d = random_diagram(rng, max_components=3, max_chords=6, n_singular=2)
-        assert vassiliev_derivative(d, self_crossing_polynomial).is_zero()
-        assert vassiliev_derivative(
+        assert sweep_derivative(d, self_crossing_polynomial).is_zero()
+        assert sweep_derivative(
             d, lambda x: linking_polynomial(x, 1, 2)).is_zero()
-        assert vassiliev_derivative(
+        assert sweep_derivative(
             d, lambda x: laurent_linking_polynomial(x, 1, 2)).is_zero()
+        assert all(value.is_zero() for value in vassiliev_derivative(d, 1, 2))
 
 
 def test_three_double_points_vanish():
     rng = random.Random(37)
     for _ in range(5):
         d = random_diagram(rng, max_components=2, max_chords=4, n_singular=3)
-        assert vassiliev_derivative(d, self_crossing_polynomial).is_zero()
+        assert sweep_derivative(d, self_crossing_polynomial).is_zero()
+        assert vassiliev_derivative(d)[0].is_zero()
 
 
 def test_derivative_matches_manual_expansion():
@@ -120,12 +130,44 @@ def test_derivative_matches_manual_expansion():
         labels = [c.label for c in d.chords if not c.is_classical]
         total = None
         for choices in itertools.product((1, -1), repeat=len(labels)):
-            weight = (-1) ** sum(1 for c in choices if c < 0)
+            sign = (-1) ** sum(1 for c in choices if c < 0)
             value = self_crossing_polynomial(
                 resolve(d, Resolution(dict(zip(labels, choices)))))
-            value = value if weight > 0 else -value
+            value = value if sign > 0 else -value
             total = value if total is None else total + value
-        assert vassiliev_derivative(d, self_crossing_polynomial) == total
+        assert sweep_derivative(d, self_crossing_polynomial) == total
+        assert vassiliev_derivative(d)[0] == total
+
+
+def test_derivative_checks_coefficients_at_every_k():
+    # at k >= 2 no report is built, but a and b are still checked
+    for k in range(4):
+        d = random_diagram(random.Random(k), max_components=2, max_chords=3, n_singular=k)
+        with pytest.raises(TypeError):
+            vassiliev_derivative(d, 0.5)
+        with pytest.raises(ValueError, match="exponent notation"):
+            vassiliev_derivative(d, 1, "1e999999999")
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def test_derivative_matches_sweep_oracle_in_the_library():
+    # seeded differential test: the order-one rule against the generic
+    # alternating sum over all 2^k resolutions
+    rng = random.Random(67)
+    long_inputs = closed_inputs = nonzero = 0
+    for k in range(5):
+        for _ in range(64):
+            d = random_diagram(rng, max_components=3, max_chords=6, n_singular=k)
+            a, b = _random_rational(rng), _random_rational(rng)
+            expected = sweeps(d, a, b)
+            assert vassiliev_derivative(d, a, b) == expected
+            long_inputs += any(comp.is_long for comp in d.components)
+            closed_inputs += any(comp.is_closed for comp in d.components)
+            nonzero += k == 1 and not expected[1].is_zero()
+    assert long_inputs >= 100 and closed_inputs >= 100 and nonzero >= 20
 
 
 def test_resolve_matches_chord_oracle():

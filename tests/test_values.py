@@ -16,7 +16,6 @@ from tanglepoly import (
     MoveKind,
     ParseError,
     TangleDiagram,
-    all_resolutions,
     apply,
     connect,
     enumerate_sites,
@@ -33,6 +32,7 @@ from helpers import (
     random_diagram,
     random_string_link,
 )
+from rebuild_oracle import all_resolutions
 from value_oracle import ORACLE_TYPES, twin
 
 SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.tangle"))

@@ -295,10 +295,6 @@ class Resolution:
 
     assignment: Mapping[str, int]
 
-    @property
-    def weight(self) -> int:
-        return -1 if sum(1 for c in self.assignment.values() if c < 0) % 2 else 1
-
 
 # ── Conversion ────────────────────────────────────────────────────────────
 
