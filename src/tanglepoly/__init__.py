@@ -14,7 +14,6 @@ from .diagram import (
     Classical,
     Component,
     DiagramError,
-    Direction,
     Endpoint,
     Side,
     Singular,
@@ -29,7 +28,6 @@ from .diagram import (
 )
 from .gaussio import ParseError, SourceSpan, parse, serialize
 from .invariants import (
-    IndexValue,
     InvariantError,
     InvariantReport,
     henrich_turaev_polynomial,
@@ -67,7 +65,6 @@ from .ops import (
     link_with_linking_numbers,
 )
 from .singular import (
-    Resolution,
     ResolutionError,
     resolve,
     vassiliev_derivative,

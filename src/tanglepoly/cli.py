@@ -33,15 +33,7 @@ from .invariants import (  # noqa: F401
 from .laurent import as_parameter
 # random_walk stays bound in this module for bench/spans.py.
 from .moves import DEFAULT_CHORD_CAP, iter_walk, random_walk  # noqa: F401
-# check_additivity stays bound in this module for bench/spans.py.
-from .ops import (  # noqa: F401
-    GlueError,
-    check_additivity,
-    compare_additivity,
-    connect,
-    is_string_link,
-    link_with_linking_numbers,
-)
+from .ops import GlueError, check_additivity, connect, is_string_link, link_with_linking_numbers
 from .singular import vassiliev_derivative
 
 EXIT_OK = 0
@@ -266,8 +258,7 @@ def _cmd_sum(args) -> int:
     }
     verdict = "n/a"
     if is_string_link(upper) and is_string_link(lower):
-        checks = compare_additivity(glue, reports["sum"], reports["upper"],
-                                    reports["lower"])
+        checks = check_additivity(glue, reports["sum"], reports["upper"], reports["lower"])
         verdict = "PASS" if all(checks.values()) else "FAIL"
 
     def text_lines() -> list[str]:

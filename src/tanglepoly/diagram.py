@@ -90,21 +90,16 @@ class Side(str, Enum):
     BOTTOM = "B"
 
 
-class Direction(str, Enum):
-    IN = "in"
-    OUT = "out"
-
-
 class BoundaryPoint(_Value):
-    """A distinguished point on the tangle box: side, 1-based index, and
-    whether the strand enters (IN) or exits (OUT) the box there."""
+    """A distinguished point on the tangle box: side and 1-based index.  A
+    strand enters the box at its component's ``start`` and leaves at its
+    ``end``."""
 
-    __slots__ = _fields = ("side", "index", "direction")
+    __slots__ = _fields = ("side", "index")
 
-    def __init__(self, side: Side, index: int, direction: Direction) -> None:
+    def __init__(self, side: Side, index: int) -> None:
         _set(self, "side", side)
         _set(self, "index", index)
-        _set(self, "direction", direction)
 
 
 class Endpoint(_Value):
@@ -194,8 +189,8 @@ class Chord(_Value):
 
 class Component(_Value):
     """One tangle component.  Closed when both boundary fields are None;
-    long when both are set (start must be IN, end must be OUT).  ``visits``
-    lists the chord label met at each traversal position."""
+    long when both are set, entering the box at start and leaving at end.
+    ``visits`` lists the chord label met at each traversal position."""
 
     __slots__ = _fields = ("cid", "visits", "start", "end")
 
@@ -299,19 +294,10 @@ def validate(diagram: TangleDiagram) -> list[Violation]:
         if comp.cid in seen_cids:
             out.append(Violation("duplicate-component", f"component id {comp.cid!r} repeated"))
         seen_cids.add(comp.cid)
-        if comp.is_closed:
-            continue
-        if comp.start is None or comp.end is None:
+        if not comp.is_closed and not comp.is_long:
             out.append(Violation(
                 "half-open-component",
                 f"component {comp.cid!r} has only one boundary endpoint set"))
-            continue
-        if comp.start.direction is not Direction.IN:
-            out.append(Violation(
-                "bad-direction", f"component {comp.cid!r} must start at an 'in' point"))
-        if comp.end.direction is not Direction.OUT:
-            out.append(Violation(
-                "bad-direction", f"component {comp.cid!r} must end at an 'out' point"))
 
     # boundary coverage: each in-range point used exactly once
     used: dict[tuple[Side, int], str] = {}
@@ -557,11 +543,12 @@ def _splice(diagram: TangleDiagram, rows: Mapping[str, Iterable[int | Token]],
 def reverse_component(diagram: TangleDiagram, cid: str) -> TangleDiagram:
     """Reverse the traversal orientation of one component.
 
-    The visit order reverses; a long component swaps its boundary points
-    (in <-> out).  Chords with both endpoints on the component keep their
-    data (the sign of a self-crossing does not depend on orientation), while
-    chords joining the component to another flip sign (classical) or frame
-    (singular): re-orienting exactly one strand of a crossing negates it.
+    The visit order reverses, and so do the component's start and end
+    (None and None on a closed component).  Chords with both endpoints on the
+    component keep their data (the sign of a self-crossing does not depend
+    on orientation), while chords joining the component to another flip
+    sign (classical) or frame (singular): re-orienting exactly one strand of
+    a crossing negates it.
     """
     target = diagram.component(cid)
     kinds: dict[str, ChordKind] = {}
@@ -574,12 +561,8 @@ def reverse_component(diagram: TangleDiagram, cid: str) -> TangleDiagram:
     rows = {comp.cid: range(len(comp.visits)) for comp in diagram.components}
     rows[cid] = range(len(target.visits) - 1, -1, -1)
     turned = _splice(diagram, rows, kinds)
-    if target.start is None or target.end is None:
-        return turned
-    start = BoundaryPoint(target.end.side, target.end.index, Direction.IN)
-    end = BoundaryPoint(target.start.side, target.start.index, Direction.OUT)
-    components = tuple(Component(cid, comp.visits, start, end) if comp.cid == cid else comp
-                       for comp in turned.components)
+    components = tuple(Component(cid, comp.visits, target.end, target.start)
+                       if comp.cid == cid else comp for comp in turned.components)
     return TangleDiagram(diagram.top, diagram.bottom, components, turned.chords)
 
 

@@ -23,9 +23,10 @@ The tokenizer cuts each line at ``#`` and splits the rest with
 ``str.split()``, keeping one flat list of tokens and the line number of
 each.  A valid parse builds no span: a ParseError finds its token's columns
 by scanning that one line again.  A file may hold at most MAX_CHORDS chord
-labels (``tanglepoly gen`` builds no more, so its output always parses back)
-and no token longer than MAX_TOKEN_CHARS characters; either excess is a
-ParseError at the offending token.
+labels (``tanglepoly gen`` builds no more, so its output always parses back),
+MAX_COMPONENTS components (the vlk matrix a report holds has one entry per
+pair of them) and no token longer than MAX_TOKEN_CHARS characters; each
+excess is a ParseError at the offending token.
 
 The serializer emits exactly this grammar, with chord labels as stored and
 closed components written from their stored basepoint, so parse(serialize(d))
@@ -44,7 +45,6 @@ from .diagram import (
     ChordKind,
     Classical,
     Component,
-    Direction,
     Endpoint,
     Side,
     Singular,
@@ -59,6 +59,7 @@ from .diagram import (
 from .diagram import from_tokens, validate  # noqa: F401
 
 MAX_CHORDS = 1_000_000
+MAX_COMPONENTS = 1_000
 MAX_TOKEN_CHARS = 1_000
 
 
@@ -144,15 +145,20 @@ def _parse_int(text: str, what: str, tokens: _Tokens, index: int) -> int:
     return int(text)
 
 
-def _parse_bpoint(tokens: _Tokens, index: int) -> BoundaryPoint:
+def _parse_bpoint(tokens: _Tokens, index: int, role: str) -> BoundaryPoint:
+    """The boundary point at token ``index``, which starts a long component
+    (``role`` "start", an 'in' point) or ends it ("end", an 'out' point)."""
     text = tokens.words[index]
     match = _BPOINT_RE.match(text)
     if not match:
         raise ParseError(f"bad boundary point {text!r}", tokens.span(index))
     side = Side.TOP if match.group(1) == "T" else Side.BOTTOM
     number = _parse_int(match.group(2), "boundary index", tokens, index)
-    direction = Direction.IN if match.group(3) == "in" else Direction.OUT
-    return BoundaryPoint(side, number, direction)
+    direction = "in" if role == "start" else "out"
+    if match.group(3) != direction:
+        raise ParseError(f"long component must {role} at an '{direction}' point",
+                         tokens.span(index))
+    return BoundaryPoint(side, number)
 
 
 # The six chord kinds, keyed by the first passage's role and sign character.
@@ -169,7 +175,8 @@ def parse(text: str) -> TangleDiagram:
     Raises ParseError carrying the SourceSpan of the offending token on the
     first problem found: lexical errors, label arity violations, O/U or sign
     mismatches, boundary misuse, long-component direction violations, or
-    a file over MAX_CHORDS labels or MAX_TOKEN_CHARS per token.
+    a file over MAX_CHORDS labels, MAX_COMPONENTS components or
+    MAX_TOKEN_CHARS per token.
     """
     tokens = _Tokens(text)
     words = tokens.words
@@ -192,6 +199,8 @@ def parse(text: str) -> TangleDiagram:
         if words[tokens.pos] != "component":
             raise ParseError(f"expected 'component', got {words[tokens.pos]!r}",
                              tokens.span(tokens.pos))
+        if len(components) == MAX_COMPONENTS:
+            raise ParseError(f"more than {MAX_COMPONENTS} components", tokens.span(tokens.pos))
         tokens.pos += 1
         name = tokens.next("component name")
         cid = words[name]
@@ -203,15 +212,9 @@ def parse(text: str) -> TangleDiagram:
         header_end = kind
         if words[kind] == "long":
             start_at = tokens.next("boundary point")
-            start = _parse_bpoint(tokens, start_at)
-            if start.direction is not Direction.IN:
-                raise ParseError("long component must start at an 'in' point",
-                                 tokens.span(start_at))
+            start = _parse_bpoint(tokens, start_at, "start")
             end_at = header_end = tokens.next("boundary point")
-            end = _parse_bpoint(tokens, end_at)
-            if end.direction is not Direction.OUT:
-                raise ParseError("long component must end at an 'out' point",
-                                 tokens.span(end_at))
+            end = _parse_bpoint(tokens, end_at, "end")
             for point, at in ((start, start_at), (end, end_at)):
                 limit = top if point.side is Side.TOP else bottom
                 if not 1 <= point.index <= limit:
@@ -296,8 +299,8 @@ def serialize(diagram: TangleDiagram) -> str:
             assert comp.start is not None and comp.end is not None
             lines.append(
                 f"component {comp.cid} long "
-                f"{comp.start.side.value}{comp.start.index}:{comp.start.direction.value} "
-                f"{comp.end.side.value}{comp.end.index}:{comp.end.direction.value}")
+                f"{comp.start.side.value}{comp.start.index}:in "
+                f"{comp.end.side.value}{comp.end.index}:out")
         row = []
         for label, tag in tokens[comp.cid]:
             chord = chord_by_label[label]

@@ -49,17 +49,6 @@ class InvariantError(TangleError):
     """Invariant evaluated outside its preconditions."""
 
 
-class IndexValue(_Value):
-    __slots__ = _fields = ("signed",)
-
-    def __init__(self, signed: int) -> None:
-        _set(self, "signed", signed)
-
-    @property
-    def absolute(self) -> int:
-        return abs(self.signed)
-
-
 # label -> (0-based component number, sign, signed index) per classical
 # self-crossing; (over, under) 0-based component numbers -> signed count;
 # the vlk matrix, row i over column j
@@ -119,15 +108,15 @@ def _require_self_chord(diagram: TangleDiagram, label: str) -> None:
         raise InvariantError(f"chord {label!r} joins two distinct components")
 
 
-def intersection_index(diagram: TangleDiagram, label: str) -> IndexValue:
-    """Intersection index of a classical self-crossing.
+def intersection_index(diagram: TangleDiagram, label: str) -> int:
+    """Signed intersection index of a classical self-crossing.
 
     Only the absolute value is independent of the piece labeling; the sign
     follows the choice of piece 1 described in the module docstring.
     """
     _require_self_chord(diagram, label)
     crossings, _links = _kernel(diagram)
-    return IndexValue(crossings[label][2])
+    return crossings[label][2]
 
 
 def _require_classical(diagram: TangleDiagram, what: str) -> None:
@@ -199,12 +188,9 @@ def self_crossing_polynomial(diagram: TangleDiagram) -> LaurentPoly:
     return LaurentPoly._from_normal(n, _fractions(_index_terms(n, crossings)))
 
 
-def virtual_linking_number(diagram: TangleDiagram, i: int, j: int) -> int:
-    """Signed count of classical crossings where component i goes over j.
-
-    Components are numbered from 1 in list order.  Unlike the classical
-    linking number this is not symmetric in (i, j).
-    """
+def _pair_links(diagram: TangleDiagram, i: int, j: int) -> Links:
+    """The kernel's signed counts, after checking that components i and j
+    (numbered from 1) are two distinct components of the diagram."""
     n = len(diagram.components)
     for number in (i, j):
         if not 1 <= number <= n:
@@ -212,12 +198,22 @@ def virtual_linking_number(diagram: TangleDiagram, i: int, j: int) -> int:
     if i == j:
         raise InvariantError("virtual linking number needs two distinct components")
     _crossings, links = _kernel(diagram)
-    return links.get((i - 1, j - 1), 0)
+    return links
+
+
+def virtual_linking_number(diagram: TangleDiagram, i: int, j: int) -> int:
+    """Signed count of classical crossings where component i goes over j.
+
+    Components are numbered from 1 in list order.  Unlike the classical
+    linking number this is not symmetric in (i, j).
+    """
+    return _pair_links(diagram, i, j).get((i - 1, j - 1), 0)
 
 
 def wriggle_number(diagram: TangleDiagram, i: int, j: int) -> int:
     """vlk(i, j) - vlk(j, i); antisymmetric in the pair."""
-    return virtual_linking_number(diagram, i, j) - virtual_linking_number(diagram, j, i)
+    links = _pair_links(diagram, i, j)
+    return links.get((i - 1, j - 1), 0) - links.get((j - 1, i - 1), 0)
 
 
 def _linking_family(diagram: TangleDiagram, a: RationalLike, b: RationalLike,

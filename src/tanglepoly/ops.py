@@ -14,12 +14,10 @@ compare invariant values across the gluing.
 from __future__ import annotations
 
 from .diagram import (
-    BoundaryPoint,
     ChordKind,
     Classical,
     Component,
     DiagramError,
-    Direction,
     Side,
     TangleDiagram,
     TangleError,
@@ -32,12 +30,11 @@ from .diagram import (
 # them in this module, so they stay bound.
 from .invariants import (  # noqa: F401
     InvariantReport,
-    invariant_report,
     laurent_linking_polynomial,
     linking_polynomial,
     self_crossing_polynomial,
 )
-from .laurent import LaurentPoly, RationalLike
+from .laurent import LaurentPoly
 
 
 class GlueError(TangleError):
@@ -154,9 +151,7 @@ def connect(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
             row += [None] * len(comp.visits)
         start = end = None
         if not closes_up:
-            head, tail = comp_of[members[0]], comp_of[members[-1]]
-            start = BoundaryPoint(head.start.side, head.start.index, Direction.IN)
-            end = BoundaryPoint(tail.end.side, tail.end.index, Direction.OUT)
+            start, end = comp_of[members[0]].start, comp_of[members[-1]].end
         specs.append((f"s{number}", start, end, row))
 
     # chords are renumbered '1', '2', ...: upper's in order, then lower's
@@ -237,19 +232,12 @@ def link_with_linking_numbers(a: int, b: int) -> TangleDiagram:
     return from_tokens(0, 0, specs, kinds)
 
 
-def check_additivity(upper: TangleDiagram, lower: TangleDiagram,
-                     glue: GlueResult, a: RationalLike, b: RationalLike,
-                     ) -> dict[str, bool]:
+def check_additivity(glue: GlueResult, glued: InvariantReport, top: InvariantReport,
+                     bottom: InvariantReport) -> dict[str, bool]:
     """Compare invariants of the connected sum against the sum of the
-    inputs' invariants, after identifying glued variables."""
-    glued, top, bottom = (invariant_report(d, a, b) for d in (glue.diagram, upper, lower))
-    return compare_additivity(glue, glued, top, bottom)
-
-
-def compare_additivity(glue: GlueResult, glued: InvariantReport, top: InvariantReport,
-                       bottom: InvariantReport) -> dict[str, bool]:
-    """``check_additivity`` on reports already computed, with the same
-    ``a`` and ``b``, for the glued, upper and lower diagram."""
+    inputs' invariants, after identifying glued variables.  ``glued``,
+    ``top`` and ``bottom`` are the reports, at the same ``a`` and ``b``, of
+    ``glue.diagram`` and of the upper and lower input."""
     upper_map, lower_map = glue.variable_maps()
     n = len(glue.diagram.components)
 

@@ -17,31 +17,22 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .diagram import ChordKind, Classical, TangleDiagram, TangleError, _set, _splice, _Value
+from .diagram import ChordKind, Classical, TangleDiagram, TangleError, _splice
 from .invariants import invariant_report
 from .laurent import LaurentPoly, RationalLike, as_parameter, zero
 
 
 class ResolutionError(TangleError):
-    """Resolution does not match the diagram's singular chords."""
+    """An assignment does not match the diagram's singular chords."""
 
 
-class Resolution(_Value):
-    """A choice of +1 or -1 for every singular chord of a diagram."""
-
-    __slots__ = _fields = ("assignment",)
-
-    def __init__(self, assignment: Mapping[str, int]) -> None:
-        _set(self, "assignment", assignment)
-
-
-def resolve(diagram: TangleDiagram, resolution: Resolution) -> TangleDiagram:
-    """Replace every singular chord by the chosen classical resolution.
+def resolve(diagram: TangleDiagram, assignment: Mapping[str, int]) -> TangleDiagram:
+    """Replace every singular chord by its classical resolution, chosen by
+    ``assignment``: +1 or -1 for the label of each singular chord.
 
     On an input in normal form the endpoints are untouched, so the resolved
     diagram differs from it only in chord kinds.
     """
-    assignment = resolution.assignment
     singular = {c.label: c.kind for c in diagram.chords if not c.is_classical}
     for label in assignment:
         if label not in singular:
@@ -74,7 +65,7 @@ def vassiliev_derivative(diagram: TangleDiagram, a: RationalLike = 1, b: Rationa
     if not singular:
         report = invariant_report(diagram, a, b)
         return report.psc, report.plk, report.plk_laurent
-    plus, minus = (invariant_report(resolve(diagram, Resolution({singular[0]: choice})), a, b)
+    plus, minus = (invariant_report(resolve(diagram, {singular[0]: choice}), a, b)
                    for choice in (1, -1))
     return (plus.psc - minus.psc, plus.plk - minus.plk,
             plus.plk_laurent - minus.plk_laurent)

@@ -14,10 +14,13 @@ from fractions import Fraction
 
 from tanglepoly import (
     Classical,
+    GlueResult,
     LaurentPoly,
     Singular,
     TangleDiagram,
+    check_additivity,
     from_tokens,
+    invariant_report,
     parse,
 )
 
@@ -118,6 +121,17 @@ def poly(nvars: int, terms: dict) -> LaurentPoly:
     return LaurentPoly(nvars, {tuple(k): Fraction(v) for k, v in terms.items()})
 
 
+# ── Additivity ────────────────────────────────────────────────────────────
+
+
+def additivity(upper: TangleDiagram, lower: TangleDiagram, glue: GlueResult,
+               a, b) -> dict[str, bool]:
+    """``check_additivity`` on the reports at (a, b) of the glued, upper and
+    lower diagram, built in that order."""
+    glued, top, bottom = (invariant_report(d, a, b) for d in (glue.diagram, upper, lower))
+    return check_additivity(glue, glued, top, bottom)
+
+
 # ── Random diagram generators ─────────────────────────────────────────────
 
 _SHAPES = ("strand", "cup", "cap", "through")
@@ -149,7 +163,7 @@ def random_diagram(rng: random.Random, max_components: int = 3,
                    allow_long: bool = True) -> TangleDiagram:
     """Arbitrary valid diagram: any chord arrangement on randomly shaped
     components is a virtual tangle."""
-    from tanglepoly.diagram import BoundaryPoint, Direction, Side
+    from tanglepoly.diagram import BoundaryPoint, Side
 
     n_comp = rng.randint(1, max_components)
     n_long = rng.randint(0, n_comp) if allow_long else 0
@@ -174,12 +188,10 @@ def random_diagram(rng: random.Random, max_components: int = 3,
     starts: dict[int, BoundaryPoint] = {}
     ends: dict[int, BoundaryPoint] = {}
     for number, (idx, which) in enumerate(tops, start=1):
-        point = BoundaryPoint(Side.TOP, number,
-                              Direction.IN if which == "start" else Direction.OUT)
+        point = BoundaryPoint(Side.TOP, number)
         (starts if which == "start" else ends)[idx] = point
     for number, (idx, which) in enumerate(bottoms, start=1):
-        point = BoundaryPoint(Side.BOTTOM, number,
-                              Direction.IN if which == "start" else Direction.OUT)
+        point = BoundaryPoint(Side.BOTTOM, number)
         (starts if which == "start" else ends)[idx] = point
 
     specs = []
@@ -215,7 +227,7 @@ def random_two_component_closed(rng: random.Random,
 
 def random_string_link(rng: random.Random, strands: int,
                        max_chords: int = 8) -> TangleDiagram:
-    from tanglepoly.diagram import BoundaryPoint, Direction, Side
+    from tanglepoly.diagram import BoundaryPoint, Side
 
     n_chords = rng.randint(0, max_chords)
     tokens: list[list] = [[] for _ in range(strands)]
@@ -229,8 +241,8 @@ def random_string_link(rng: random.Random, strands: int,
         rng.shuffle(row)
     specs = [
         (f"S{i + 1}",
-         BoundaryPoint(Side.TOP, i + 1, Direction.IN),
-         BoundaryPoint(Side.BOTTOM, i + 1, Direction.OUT),
+         BoundaryPoint(Side.TOP, i + 1),
+         BoundaryPoint(Side.BOTTOM, i + 1),
          tokens[i])
         for i in range(strands)
     ]

@@ -21,7 +21,6 @@ from tanglepoly.diagram import (
     BoundaryPoint,
     ChordKind,
     Classical,
-    Direction,
     Side,
     Singular,
     TangleDiagram,
@@ -91,14 +90,14 @@ def _parse_int(text: str, what: str, span: SourceSpan) -> int:
     return int(text)
 
 
-def _parse_bpoint(token: _Token) -> tuple[BoundaryPoint, _Token]:
+def _parse_bpoint(token: _Token) -> tuple[BoundaryPoint, _Token, str]:
+    """The point, its token and its direction, "in" or "out"."""
     match = _BPOINT_RE.match(token.text)
     if not match:
         raise ParseError(f"bad boundary point {token.text!r}", token.span)
     side = Side.TOP if match.group(1) == "T" else Side.BOTTOM
     index = _parse_int(match.group(2), "boundary index", token.span)
-    direction = Direction.IN if match.group(3) == "in" else Direction.OUT
-    return BoundaryPoint(side, index, direction), token
+    return BoundaryPoint(side, index), token, match.group(3)
 
 
 @dataclass
@@ -149,12 +148,12 @@ def parse(text: str) -> TangleDiagram:
         start = end = None
         header_end = kind_token
         if kind_token.text == "long":
-            start, start_token = _parse_bpoint(stream.next("boundary point"))
-            if start.direction is not Direction.IN:
+            start, start_token, direction = _parse_bpoint(stream.next("boundary point"))
+            if direction != "in":
                 raise ParseError("long component must start at an 'in' point",
                                  start_token.span)
-            end, end_token = _parse_bpoint(stream.next("boundary point"))
-            if end.direction is not Direction.OUT:
+            end, end_token, direction = _parse_bpoint(stream.next("boundary point"))
+            if direction != "out":
                 raise ParseError("long component must end at an 'out' point",
                                  end_token.span)
             header_end = end_token

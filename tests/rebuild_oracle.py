@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from tanglepoly import (
     LaurentPoly,
-    Resolution,
     ResolutionError,
     TangleDiagram,
     laurent_linking_polynomial,
@@ -43,7 +42,6 @@ from tanglepoly.diagram import (
     Component,
     ComponentSpec,
     DiagramError,
-    Direction,
     Endpoint,
     Side,
     Singular,
@@ -153,8 +151,8 @@ def reverse_by_rebuild(diagram: TangleDiagram, cid: str) -> TangleDiagram:
     boundary = None
     if target.is_long:
         boundary = {cid: (
-            BoundaryPoint(target.end.side, target.end.index, Direction.IN),
-            BoundaryPoint(target.start.side, target.start.index, Direction.OUT),
+            BoundaryPoint(target.end.side, target.end.index),
+            BoundaryPoint(target.start.side, target.start.index),
         )}
     return rebuild(diagram, tokens, kinds, boundary)
 
@@ -430,13 +428,13 @@ def connect_by_tokens(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
     for index in range(1, upper.bottom + 1):
         up_cid, up_port = _boundary_owner(upper, Side.BOTTOM, index)
         low_cid, low_port = _boundary_owner(lower, Side.TOP, index)
-        up_dir = Direction.OUT if up_port == "end" else Direction.IN
-        low_dir = Direction.OUT if low_port == "end" else Direction.IN
+        up_dir = "out" if up_port == "end" else "in"
+        low_dir = "out" if low_port == "end" else "in"
         if up_dir == low_dir:
             raise GlueError(
                 f"orientation clash at boundary position {index}: both sides "
-                f"{'leave' if up_dir is Direction.OUT else 'enter'} the interface")
-        if up_dir is Direction.OUT:
+                f"{'leave' if up_dir == 'out' else 'enter'} the interface")
+        if up_dir == "out":
             successor[("upper", up_cid)] = ("lower", low_cid)
         else:
             successor[("lower", low_cid)] = ("upper", up_cid)
@@ -517,8 +515,8 @@ def connect_by_tokens(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
         else:
             head = comp_of[members[0]]
             tail = comp_of[members[-1]]
-            start = BoundaryPoint(head.start.side, head.start.index, Direction.IN)
-            end = BoundaryPoint(tail.end.side, tail.end.index, Direction.OUT)
+            start = BoundaryPoint(head.start.side, head.start.index)
+            end = BoundaryPoint(tail.end.side, tail.end.index)
         specs.append((f"s{number}", start, end, tokens))
         component_map.append(tuple(
             (side, upper_number[cid] if side == "upper" else lower_number[cid])
@@ -539,13 +537,13 @@ def _resolved_kind(frame: int, choice: int) -> Classical:
     return Classical(-1, "b" if frame == 1 else "a")
 
 
-def resolve_by_chords(diagram: TangleDiagram, resolution: Resolution) -> TangleDiagram:
+def resolve_by_chords(diagram: TangleDiagram, resolution: Mapping[str, int]) -> TangleDiagram:
     """Replace every singular chord by the chosen classical resolution.
 
     Endpoint positions are untouched, so the resolved diagram differs from
     the input only in chord kinds.
     """
-    assignment = dict(resolution.assignment)
+    assignment = dict(resolution)
     singular_labels = {c.label for c in diagram.chords if not c.is_classical}
     for label in assignment:
         if label not in singular_labels:
@@ -566,17 +564,18 @@ def resolve_by_chords(diagram: TangleDiagram, resolution: Resolution) -> TangleD
                          tuple(new_chords))
 
 
-def all_resolutions(diagram: TangleDiagram) -> Iterator[Resolution]:
-    """All 2^k resolutions in a fixed order (chords in diagram order, +1
-    before -1), so alternating sums are deterministic."""
+def all_resolutions(diagram: TangleDiagram) -> Iterator[dict[str, int]]:
+    """All 2^k resolutions, each a label-to-choice mapping, in a fixed order
+    (chords in diagram order, +1 before -1), so alternating sums are
+    deterministic."""
     labels = [c.label for c in diagram.chords if not c.is_classical]
     for choices in itertools.product((1, -1), repeat=len(labels)):
-        yield Resolution(dict(zip(labels, choices)))
+        yield dict(zip(labels, choices))
 
 
-def weight(resolution: Resolution) -> int:
+def weight(resolution: Mapping[str, int]) -> int:
     """(-1)^(number of negative choices)."""
-    return -1 if sum(1 for c in resolution.assignment.values() if c < 0) % 2 else 1
+    return -1 if sum(1 for c in resolution.values() if c < 0) % 2 else 1
 
 
 def sweep_derivative(diagram: TangleDiagram,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tanglepoly import IndexValue, InvariantError, InvariantReport, TangleDiagram
+from tanglepoly import InvariantError, InvariantReport, TangleDiagram
 from tanglepoly.laurent import as_fraction, mono, zero
 
 
@@ -72,7 +72,7 @@ def oriented_smoothing(diagram: TangleDiagram, label: str) -> SmoothSplit:
     return SmoothSplit(label, comp.cid, rest, middle, True)
 
 
-def index_from_split(diagram: TangleDiagram, split: SmoothSplit) -> IndexValue:
+def index_from_split(diagram: TangleDiagram, split: SmoothSplit) -> int:
     """Signed intersection index for a given labeling of the two pieces."""
     signed = 0
     for other in diagram.chords:
@@ -89,11 +89,11 @@ def index_from_split(diagram: TangleDiagram, split: SmoothSplit) -> IndexValue:
         over_pos = other.over_endpoint().position
         sign = other.kind.sign  # type: ignore[union-attr]
         signed += sign if over_pos in split.piece1 else -sign
-    return IndexValue(signed)
+    return signed
 
 
 def slow_index(diagram: TangleDiagram, label: str) -> int:
-    return index_from_split(diagram, oriented_smoothing(diagram, label)).signed
+    return index_from_split(diagram, oriented_smoothing(diagram, label))
 
 
 def slow_vlk(diagram: TangleDiagram, i: int, j: int) -> int:

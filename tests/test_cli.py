@@ -538,6 +538,7 @@ def test_sum_computes_each_report_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("bound, value, text", [
     ("MAX_CHORDS", 1, "tangle 0 0\ncomponent K closed\nO1+ U1+ O2+ U2+\n"),
+    ("MAX_COMPONENTS", 1, "tangle 0 0\ncomponent K closed\nO1+ U1+ component L closed\n"),
     # 'component' is the longest keyword
     ("MAX_TOKEN_CHARS", 9, "tangle 0 0\ncomponent K closed\nO1+ U1+ O1234567+\n"),
 ])

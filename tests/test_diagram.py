@@ -10,7 +10,6 @@ from tanglepoly import (
     Classical,
     Component,
     DiagramError,
-    Direction,
     Endpoint,
     Side,
     Singular,
@@ -64,16 +63,12 @@ def test_coincident_endpoints():
 
 
 def test_boundary_violations():
-    start = BoundaryPoint(Side.TOP, 1, Direction.IN)
-    end = BoundaryPoint(Side.BOTTOM, 3, Direction.OUT)
+    start = BoundaryPoint(Side.TOP, 1)
+    end = BoundaryPoint(Side.BOTTOM, 3)
     comp = Component("A", (), start, end)
     found = validate(TangleDiagram(1, 1, (comp,), ()))
     assert "boundary-range" in codes(found)
     assert "boundary-unused" in codes(found)
-
-    bad_dir = Component("B", (), BoundaryPoint(Side.TOP, 1, Direction.OUT),
-                        BoundaryPoint(Side.BOTTOM, 1, Direction.OUT))
-    assert "bad-direction" in codes(validate(TangleDiagram(1, 1, (bad_dir,), ())))
 
 
 def test_visit_mismatch():
@@ -159,8 +154,7 @@ def _changed(rng, d):
         specs[i], specs[j] = specs[j], specs[i]
     elif change == "boundary" and spec[1] is not None:
         start, end = spec[1], spec[2]
-        spec[1] = BoundaryPoint(end.side, end.index, Direction.IN)
-        spec[2] = BoundaryPoint(start.side, start.index, Direction.OUT)
+        spec[1], spec[2] = end, start
     elif change == "move" and spec[3]:
         token = spec[3].pop(rng.randrange(len(spec[3])))
         target = rng.choice(specs)[3]
@@ -271,8 +265,8 @@ def test_reverse_swaps_long_boundary():
     d = clasp()
     rev = reverse_component(d, "A")
     comp = rev.component("A")
-    assert comp.start == BoundaryPoint(Side.BOTTOM, 1, Direction.IN)
-    assert comp.end == BoundaryPoint(Side.TOP, 1, Direction.OUT)
+    assert comp.start == BoundaryPoint(Side.BOTTOM, 1)
+    assert comp.end == BoundaryPoint(Side.TOP, 1)
 
 
 def test_reverse_flips_singular_frame():
@@ -366,8 +360,8 @@ def _token_input(rng, components, longs, chords, singular):
     for row in rows:
         rng.shuffle(row)
     specs = [(f"C{i + 1}",
-              BoundaryPoint(Side.TOP, i + 1, Direction.IN) if i < longs else None,
-              BoundaryPoint(Side.BOTTOM, i + 1, Direction.OUT) if i < longs else None,
+              BoundaryPoint(Side.TOP, i + 1) if i < longs else None,
+              BoundaryPoint(Side.BOTTOM, i + 1) if i < longs else None,
               row) for i, row in enumerate(rows)]
     return longs, longs, specs, kinds
 

@@ -92,11 +92,12 @@ def test_component_declared_twice():
                        "component K closed\n", "component 'K' declared twice")
     assert err.message == "component 'K' declared twice"
     assert (err.span.line, err.span.col_start, err.span.col_end) == (4, 11, 11)
-    # the first repeat is the one reported, after many distinct names
-    names = "".join(f"component c{i} closed\n" for i in range(3000))
+    # the first repeat is the one reported, after many distinct names; with
+    # the two repeats the file holds MAX_COMPONENTS components
+    names = "".join(f"component c{i} closed\n" for i in range(998))
     err = expect_error("tangle 0 0\n" + names + "component c7 closed\ncomponent c9 closed\n",
                        "component 'c7' declared twice")
-    assert err.span.line == 3002
+    assert err.span.line == 1000
 
 
 def test_boundary_unused():
@@ -104,8 +105,17 @@ def test_boundary_unused():
 
 
 def test_direction_violations():
-    expect_error("tangle 1 1\ncomponent A long T1:out B1:out\n", "start at an 'in'")
-    expect_error("tangle 1 1\ncomponent A long T1:in B1:in\n", "end at an 'out'")
+    err = expect_error("tangle 1 1\ncomponent A long T1:out B1:out\n", "start at an 'in'")
+    assert err.message == "long component must start at an 'in' point"
+    assert (err.span.line, err.span.col_start, err.span.col_end) == (2, 18, 23)
+    err = expect_error("tangle 1 1\ncomponent A long T1:in B1:in\n", "end at an 'out'")
+    assert err.message == "long component must end at an 'out' point"
+    assert (err.span.line, err.span.col_start, err.span.col_end) == (2, 24, 28)
+    err = expect_error("tangle 1 1\ncomponent A long T1:in B1:bad\n", "bad boundary point")
+    assert (err.span.line, err.span.col_start, err.span.col_end) == (2, 24, 29)
+    # the direction is checked after the index, on each point before the next is read
+    expect_error("tangle 1 1\ncomponent A long T1234567890:out B1:bad\n", "more than 9 digits")
+    expect_error("tangle 1 1\ncomponent A long T1:out B1:bad\n", "start at an 'in'")
 
 
 def test_lexical_errors():
@@ -414,6 +424,19 @@ def test_chord_label_bound(monkeypatch):
     assert len(parse(text).chords) == 3
     err = expect_error(text[:-1] + " Oy+ Uy+\n", "more than 3 chord labels")
     assert (err.span.line, err.span.col_start, err.span.col_end) == (3, 25, 27)
+
+
+def test_component_bound():
+    from tanglepoly.gaussio import MAX_COMPONENTS
+
+    assert MAX_COMPONENTS == 1_000
+    names = "".join(f"component c{i} closed\n" for i in range(MAX_COMPONENTS))
+    assert len(parse("tangle 0 0\n" + names).components) == MAX_COMPONENTS
+    # the next header fails, before its name is read
+    err = expect_error("tangle 0 0\n" + names + "component c7 sideways\n",
+                       "more than 1000 components")
+    assert err.message == "more than 1000 components"
+    assert (err.span.line, err.span.col_start, err.span.col_end) == (1002, 1, 9)
 
 
 def test_token_length_bound(monkeypatch):

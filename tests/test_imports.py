@@ -1,5 +1,6 @@
 """Start-up: importing the CLI, and running it with text output, loads
-none of the modules that only dataclasses or JSON output need."""
+none of the modules that only dataclasses or JSON output need.  And the
+package's public names are a fixed list."""
 
 import os
 import subprocess
@@ -36,3 +37,26 @@ def test_text_output_loads_no_json():
     assert "json" not in _loaded_by(run.format("text"))
     # the check can see the import it guards against
     assert "json" in _loaded_by(run.format("json"))
+
+
+def test_public_surface_is_pinned():
+    # an addition to or removal from the package's names is a deliberate
+    # edit of this list
+    import tanglepoly
+
+    assert sorted(tanglepoly.__all__) == [
+        "BoundaryPoint", "Chord", "Classical", "Component", "DiagramError", "Endpoint",
+        "GlueError", "GlueResult", "InvariantError", "InvariantReport", "KinkInsert",
+        "KinkRemove", "LaurentPoly", "MoveError", "MoveKind", "MoveSite", "PairInsert",
+        "PairRemove", "ParseError", "ResolutionError", "Side", "Singular", "SourceSpan",
+        "TangleDiagram", "TangleError", "TriangleSlide", "Violation", "apply", "as_fraction",
+        "canonical", "check_additivity", "closure", "connect", "diagram", "enumerate_sites",
+        "equal_diagrams", "from_json_terms", "from_tokens", "gaussio",
+        "henrich_turaev_polynomial", "intersection_index", "invariant_report", "invariants",
+        "is_string_link", "iter_walk", "laurent", "laurent_linking_polynomial",
+        "link_with_linking_numbers", "linking_polynomial", "long_ordered_polynomial", "mono",
+        "moves", "ops", "parse", "random_walk", "resolve", "reverse_component",
+        "self_crossing_polynomial", "serialize", "singular", "validate",
+        "vassiliev_derivative", "virtual_linking_number", "wriggle_number", "zero",
+    ]
+    assert tanglepoly.BoundaryPoint._fields == ("side", "index")

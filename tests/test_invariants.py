@@ -94,23 +94,23 @@ def test_smoothing_errors():
 
 def test_index_virtual_trefoil():
     d = virtual_trefoil()
-    assert intersection_index(d, "1").absolute == 1
-    assert intersection_index(d, "2").absolute == 1
+    assert abs(intersection_index(d, "1")) == 1
+    assert abs(intersection_index(d, "2")) == 1
     # frozen signed values for the deterministic piece labeling
-    assert intersection_index(d, "1").signed == 1
-    assert intersection_index(d, "2").signed == -1
+    assert intersection_index(d, "1") == 1
+    assert intersection_index(d, "2") == -1
 
 
 def test_index_classical_trefoil_vanishes():
     d = classical_trefoil()
     for label in ("1", "2", "3"):
-        assert intersection_index(d, label).signed == 0
+        assert intersection_index(d, label) == 0
 
 
 def test_index_kink_is_zero():
     d = parse("tangle 0 0\ncomponent K closed\nO1+ U1+ O2+ U2+\n")
-    assert intersection_index(d, "1").signed == 0
-    assert intersection_index(d, "2").signed == 0
+    assert intersection_index(d, "1") == 0
+    assert intersection_index(d, "2") == 0
 
 
 def test_index_swap_negates_signed():
@@ -123,8 +123,8 @@ def test_index_swap_negates_signed():
             split = oriented_smoothing(d, chord.label)
             value = index_from_split(d, split)
             flipped = index_from_split(d, split.swapped())
-            assert flipped.signed == -value.signed
-            assert flipped.absolute == value.absolute
+            assert flipped == -value
+            assert abs(flipped) == abs(value)
 
 
 # ── self-crossing polynomial ──────────────────────────────────────────────
@@ -204,6 +204,30 @@ def test_wriggle_antisymmetric():
         d = random_two_component_closed(rng)
         assert wriggle_number(d, 1, 2) == -wriggle_number(d, 2, 1)
     assert wriggle_number(clasp(), 1, 2) == 0
+
+
+def test_wriggle_runs_one_kernel_pass(monkeypatch):
+    calls = []
+    kernel = invariants._kernel
+
+    def spy(diagram):
+        calls.append(diagram)
+        return kernel(diagram)
+
+    monkeypatch.setattr(invariants, "_kernel", spy)
+    d = link_with_linking_numbers(3, 2)
+    assert wriggle_number(d, 1, 2) == 5 and wriggle_number(d, 2, 1) == -5
+    assert calls == [d, d]
+    # the range and equal-component errors, with their messages, before any pass
+    for i, j, message in ((0, 1, "component number 0 out of range 1..2"),
+                          (1, 3, "component number 3 out of range 1..2"),
+                          (3, 3, "component number 3 out of range 1..2"),
+                          (2, 2, "virtual linking number needs two distinct components")):
+        for function in (wriggle_number, virtual_linking_number):
+            with pytest.raises(InvariantError) as info:
+                function(d, i, j)
+            assert str(info.value) == message
+    assert calls == [d, d]
 
 
 # ── linking polynomials ───────────────────────────────────────────────────
@@ -347,7 +371,7 @@ def test_index_matches_oracle_signed():
     for d in _oracle_diagrams(101):
         for chord in d.chords:
             if chord.is_classical and chord.end_a.component == chord.end_b.component:
-                assert intersection_index(d, chord.label).signed == slow_index(d, chord.label)
+                assert intersection_index(d, chord.label) == slow_index(d, chord.label)
                 checked += 1
     assert checked > 500
 

@@ -8,11 +8,9 @@ from tanglepoly import (
     BoundaryPoint,
     Classical,
     DiagramError,
-    Direction,
     GlueError,
     InvariantError,
     Side,
-    check_additivity,
     closure,
     connect,
     equal_diagrams,
@@ -31,6 +29,7 @@ from tanglepoly import (
     virtual_linking_number,
 )
 from helpers import (
+    additivity,
     clasp,
     identity_braid,
     poly,
@@ -183,7 +182,7 @@ def test_string_link_additivity_random():
         left = random_string_link(rng, strands, max_chords=6)
         right = random_string_link(rng, strands, max_chords=6)
         glue = connect(left, right)
-        checks = check_additivity(left, right, glue, 1, 2)
+        checks = additivity(left, right, glue, 1, 2)
         assert all(checks.values()), checks
         # linking numbers add pairwise under stacking
         for i in range(1, strands + 1):
@@ -217,12 +216,12 @@ def test_permuted_tangle_additivity():
     # the swap sends upper strand 1 onto lower strand 2 and vice versa
     assert sorted(glue.relations) == [(1, 2), (2, 1)]
 
-    naive = check_additivity(upper, lower, glue, 1, 2)
+    naive = additivity(upper, lower, glue, 1, 2)
     assert naive["psc"]
     # order-reversing gluing with asymmetric linking: the a/b weights attach
     # to pair order, so naive substitution cannot hold at a != b
     assert not naive["plk"] and not naive["plkL"]
-    assert all(check_additivity(upper, lower, glue, 2, 2).values())
+    assert all(additivity(upper, lower, glue, 2, 2).values())
 
     reordered = TangleDiagram(lower.top, lower.bottom,
                               (lower.components[1], lower.components[0]),
@@ -230,7 +229,7 @@ def test_permuted_tangle_additivity():
     assert validate(reordered) == []
     aligned = connect(upper, reordered)
     assert sorted(aligned.relations) == [(1, 1), (2, 2)]
-    assert all(check_additivity(upper, reordered, aligned, 1, 2).values())
+    assert all(additivity(upper, reordered, aligned, 1, 2).values())
 
 
 def test_additivity_with_closed_passenger():
@@ -239,12 +238,14 @@ def test_additivity_with_closed_passenger():
                   "component K closed\nOk+ Uk+\n")
     lower = clasp()
     glue = connect(upper, lower)
-    checks = check_additivity(upper, lower, glue, 2, 3)
+    checks = additivity(upper, lower, glue, 2, 3)
     assert all(checks.values()), checks
 
 
-def test_additivity_runs_one_kernel_pass_per_diagram(monkeypatch):
+def test_additivity_runs_one_kernel_pass_per_diagram(monkeypatch, capsys, tmp_path):
+    # tanglepoly sum checks additivity on the three reports it prints
     from tanglepoly import invariants
+    from tanglepoly.cli import main
 
     calls = []
     kernel = invariants._kernel
@@ -256,11 +257,15 @@ def test_additivity_runs_one_kernel_pass_per_diagram(monkeypatch):
     monkeypatch.setattr(invariants, "_kernel", spy)
     upper, lower = clasp(), random_string_link(random.Random(5), 2, max_chords=6)
     glue = connect(upper, lower)
-    for a, b in ((1, 1), (2, -3)):
+    paths = []
+    for name, diagram in (("upper", upper), ("lower", lower)):
+        paths += ["-i", str(tmp_path / name)]
+        (tmp_path / name).write_text(serialize(diagram))
+    for a, b in (("1", "1"), ("2", "-3")):
         calls.clear()
-        checks = check_additivity(upper, lower, glue, a, b)
-        assert all(checks.values()), checks
-        assert calls == [glue.diagram, upper, lower]
+        assert main(["sum", *paths, "--a", a, "--b", b]) == 0
+        assert "additivity: PASS" in capsys.readouterr().out
+        assert calls == [upper, lower, glue.diagram]
 
 
 def test_additivity_refuses_singular_input():
@@ -268,7 +273,7 @@ def test_additivity_refuses_singular_input():
                   "component B long T2:in B2:out\nS1+ O2+\n")
     glue = connect(upper, clasp())
     with pytest.raises(InvariantError) as info:
-        check_additivity(upper, clasp(), glue, 1, 1)
+        additivity(upper, clasp(), glue, 1, 1)
     assert str(info.value) == ("the self-crossing polynomial is undefined on diagrams "
                                "with singular chords (found '1'); resolve them first")
 
@@ -374,8 +379,8 @@ def _oriented_tangle(rng, top, bottom, max_chords=8):
         start = end = None
         if idx < n_long:
             (start_side, start_index), (end_side, end_index) = points[2 * idx:2 * idx + 2]
-            start = BoundaryPoint(start_side, start_index, Direction.IN)
-            end = BoundaryPoint(end_side, end_index, Direction.OUT)
+            start = BoundaryPoint(start_side, start_index)
+            end = BoundaryPoint(end_side, end_index)
         specs.append((f"c{idx + 1}", start, end, row))
     return from_tokens(top, bottom, specs, kinds)
 

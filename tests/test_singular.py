@@ -11,7 +11,6 @@ import pytest
 
 from tanglepoly import (
     Classical,
-    Resolution,
     ResolutionError,
     equal_diagrams,
     invariant_report,
@@ -32,46 +31,46 @@ from rebuild_oracle import all_resolutions, sweep_derivative, sweeps, weight
 
 
 def test_resolution_weights():
-    assert weight(Resolution({})) == 1
-    assert weight(Resolution({"1": 1, "2": 1})) == 1
-    assert weight(Resolution({"1": -1, "2": 1})) == -1
-    assert weight(Resolution({"1": -1, "2": -1})) == 1
+    assert weight({}) == 1
+    assert weight({"1": 1, "2": 1}) == 1
+    assert weight({"1": -1, "2": 1}) == -1
+    assert weight({"1": -1, "2": -1}) == 1
 
 
 def test_resolve_no_singular_is_identity():
     d = virtual_trefoil()
-    assert resolve(d, Resolution({})) == d
+    assert resolve(d, {}) == d
 
 
 def test_resolve_frame_convention():
     d = singular_virtual_trefoil()
-    plus = resolve(d, Resolution({"1": 1}))
+    plus = resolve(d, {"1": 1})
     chord = plus.chord("1")
     assert chord.kind == Classical(1, "a")
-    minus = resolve(d, Resolution({"1": -1}))
+    minus = resolve(d, {"1": -1})
     assert minus.chord("1").kind == Classical(-1, "b")
 
 
 def test_plus_resolution_is_virtual_trefoil():
     d = singular_virtual_trefoil()
-    assert equal_diagrams(resolve(d, Resolution({"1": 1})), virtual_trefoil())
+    assert equal_diagrams(resolve(d, {"1": 1}), virtual_trefoil())
     # the minus resolution has cancelling contributions
-    assert self_crossing_polynomial(resolve(d, Resolution({"1": -1}))).is_zero()
+    assert self_crossing_polynomial(resolve(d, {"1": -1})).is_zero()
 
 
 def test_resolve_errors():
     d = singular_virtual_trefoil()
     with pytest.raises(ResolutionError):
-        resolve(d, Resolution({}))
+        resolve(d, {})
     with pytest.raises(ResolutionError):
-        resolve(d, Resolution({"1": 1, "2": 1}))  # chord 2 is classical
+        resolve(d, {"1": 1, "2": 1})  # chord 2 is classical
     with pytest.raises(ResolutionError):
-        resolve(d, Resolution({"1": 0}))
+        resolve(d, {"1": 0})
 
 
 def test_all_resolutions_enumeration():
     d = parse("tangle 0 0\ncomponent K closed\nS1+ S2- S1+ S2-\n")
-    seen = [tuple(sorted(r.assignment.items())) for r in all_resolutions(d)]
+    seen = [tuple(sorted(r.items())) for r in all_resolutions(d)]
     assert len(seen) == 4
     assert len(set(seen)) == 4
 
@@ -85,8 +84,8 @@ def test_derivative_without_singular_is_invariant():
 
 def test_derivative_single_point_expansion():
     d = singular_virtual_trefoil()
-    plus = resolve(d, Resolution({"1": 1}))
-    minus = resolve(d, Resolution({"1": -1}))
+    plus = resolve(d, {"1": 1})
+    minus = resolve(d, {"1": -1})
     expected = self_crossing_polynomial(plus) - self_crossing_polynomial(minus)
     assert sweep_derivative(d, self_crossing_polynomial) == expected
     assert vassiliev_derivative(d)[0] == expected
@@ -132,7 +131,7 @@ def test_derivative_matches_manual_expansion():
         for choices in itertools.product((1, -1), repeat=len(labels)):
             sign = (-1) ** sum(1 for c in choices if c < 0)
             value = self_crossing_polynomial(
-                resolve(d, Resolution(dict(zip(labels, choices)))))
+                resolve(d, dict(zip(labels, choices))))
             value = value if sign > 0 else -value
             total = value if total is None else total + value
         assert sweep_derivative(d, self_crossing_polynomial) == total
@@ -178,7 +177,7 @@ def test_resolve_matches_chord_oracle():
         d = random_diagram(rng, max_components=3, max_chords=6,
                            n_singular=rng.randint(0, 4))
         labels = [c.label for c in d.chords if not c.is_classical]
-        resolution = Resolution({label: rng.choice((1, -1)) for label in labels})
+        resolution = {label: rng.choice((1, -1)) for label in labels}
         assert resolve(d, resolution) == resolve_by_chords(d, resolution)
 
 
@@ -206,7 +205,7 @@ def test_resolve_errors_match_chord_oracle():
         items += [(label, 1) for label in rng.sample(classical + ["x", "y"], 2)
                   if rng.random() < 0.4]
         rng.shuffle(items)
-        resolution = Resolution(dict(items))
+        resolution = dict(items)
         new = _outcome(resolve, d, resolution)
         assert new == _outcome(resolve_by_chords, d, resolution)
         errors += isinstance(new, str)
@@ -216,11 +215,11 @@ def test_resolve_errors_match_chord_oracle():
 def test_resolve_reports_the_first_bad_label():
     d = singular_virtual_trefoil()  # chord 1 singular, chord 2 classical
     with pytest.raises(ResolutionError, match="chord 'x' is not a singular chord"):
-        resolve(d, Resolution({"x": 1, "2": 1}))
+        resolve(d, {"x": 1, "2": 1})
     with pytest.raises(ResolutionError, match="chord '2' is not a singular chord"):
-        resolve(d, Resolution({"2": 1, "x": 1}))
+        resolve(d, {"2": 1, "x": 1})
     with pytest.raises(ResolutionError, match="chord '3' is not a singular chord"):
-        resolve(d, Resolution({"1": 0, "3": 1}))
+        resolve(d, {"1": 0, "3": 1})
 
 
 def test_kernel_entries_agree_across_the_two_resolutions():
@@ -239,7 +238,7 @@ def test_kernel_entries_agree_across_the_two_resolutions():
         for chord in singular:
             kernels = []
             for choice in (1, -1):
-                resolved = resolve(d, Resolution({**choices, chord.label: choice}))
+                resolved = resolve(d, {**choices, chord.label: choice})
                 crossings, links = _kernel(resolved)
                 own = resolved.chord(chord.label)
                 key = (number[own.over_endpoint().component],

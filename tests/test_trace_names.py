@@ -8,7 +8,7 @@ from pathlib import Path
 import tanglepoly
 import tanglepoly.cli
 from tanglepoly.cli import main
-from helpers import SINGULAR_VIRTUAL_TREFOIL_TEXT
+from helpers import CLASP_TEXT, SINGULAR_VIRTUAL_TREFOIL_TEXT
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -41,3 +41,22 @@ def test_instrument_finds_every_traced_name_and_restores(capsys, tmp_path):
     assert tracer.total("singular.resolve")[0] == 2
     assert (cli.vassiliev_derivative, singular.resolve,
             tanglepoly.LaurentPoly.render) == originals
+
+
+def test_sum_runs_the_traced_additivity_check(capsys, tmp_path):
+    spans = _spans()
+    cli = tanglepoly.cli
+    originals = (cli.check_additivity, tanglepoly.ops.check_additivity)
+    path = tmp_path / "clasp.tangle"
+    path.write_text(CLASP_TEXT)
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer, tanglepoly)
+        assert cli.check_additivity is not originals[0]
+        assert main(["sum", "-i", str(path), "-i", str(path)]) == 0
+    finally:
+        tracer.restore()
+    assert "additivity: PASS" in capsys.readouterr().out
+    # the additivity figure times the one check that sum runs
+    assert tracer.total("ops.check_additivity")[0] == 1
+    assert (cli.check_additivity, tanglepoly.ops.check_additivity) == originals

@@ -3,8 +3,11 @@ test oracle.
 
 The package defines its immutable value types as slotted classes on
 ``diagram._Value``.  The definitions below are the dataclasses those
-classes replace, copied unchanged, so that a differential test can hold
-the new classes to the same equality, hash, ``repr`` and pickling.
+classes replace, copied unchanged but for ``BoundaryPoint``, whose
+``direction`` field went with the model's (a component's ``start`` is
+where it enters the box and its ``end`` where it leaves), so that a
+differential test can hold the new classes to the same equality, hash,
+``repr`` and pickling.
 ``twin`` converts a package value, fields and all, into its dataclass
 counterpart here.
 """
@@ -14,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
-from tanglepoly.diagram import DiagramError, Direction, Side
+from tanglepoly.diagram import DiagramError, Side
 from tanglepoly.laurent import LaurentPoly
 from tanglepoly.moves import MoveKind
 
@@ -30,12 +32,10 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """A distinguished point on the tangle box: side, 1-based index, and
-    whether the strand enters (IN) or exits (OUT) the box there."""
+    """A distinguished point on the tangle box: side and 1-based index."""
 
     side: Side
     index: int
-    direction: Direction
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Chord:
 @dataclass(frozen=True)
 class Component:
     """One tangle component.  Closed when both boundary fields are None;
-    long when both are set (start must be IN, end must be OUT).  ``visits``
+    long when both are set, entering the box at start and leaving at end.  ``visits``
     lists the chord label met at each traversal position."""
 
     cid: str
@@ -175,15 +175,6 @@ class SourceSpan:
 
 
 # ── invariants ────────────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class IndexValue:
-    signed: int
-
-    @property
-    def absolute(self) -> int:
-        return abs(self.signed)
 
 
 @dataclass(frozen=True)
@@ -286,22 +277,12 @@ class GlueResult:
         return upper, lower
 
 
-# ── singular ──────────────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """A choice of +1 or -1 for every singular chord of a diagram."""
-
-    assignment: Mapping[str, int]
-
-
 # ── Conversion ────────────────────────────────────────────────────────────
 
 ORACLE_TYPES = {cls.__name__: cls for cls in (
     BoundaryPoint, Endpoint, Classical, Singular, Chord, Component, TangleDiagram,
-    Violation, SourceSpan, IndexValue, InvariantReport, KinkInsert, KinkRemove,
-    PairInsert, PairRemove, TriangleSlide, GlueResult, Resolution)}
+    Violation, SourceSpan, InvariantReport, KinkInsert, KinkRemove, PairInsert, PairRemove,
+    TriangleSlide, GlueResult)}
 
 
 def twin(value):
