@@ -8,6 +8,8 @@ closures and prescribed-linking-number generators, all over exact rational
 arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .diagram import (
     BoundaryPoint,
     Chord,
@@ -70,6 +72,8 @@ from .singular import (
     vassiliev_derivative,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from are not among them
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

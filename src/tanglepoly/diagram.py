@@ -32,15 +32,29 @@ from typing import Iterable, Mapping, Sequence
 _set = object.__setattr__
 
 
+def _make_init(cls) -> object:
+    """``cls``'s constructor, compiled as the straight-line code one writes
+    by hand: one ``_set`` per field, in ``_fields`` order."""
+    params = "".join(f", {name}" for name in cls._fields)
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+    namespace = {"_set": _set, "__name__": cls.__module__}
+    exec(f"def __init__(self{params}) -> None:{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass declares ``__slots__ = _fields = (...)`` and an ``__init__``
-    that sets each field with ``_set``.  The rest reads the fields in that
-    order, as a frozen dataclass does: instances are equal when their
-    classes match and their field tuples are equal, hash as that tuple,
-    show as ``Name(field=value, ...)`` and pickle through the constructor.
-    Assigning or deleting an attribute raises ``AttributeError``.
+    A subclass declares ``__slots__ = _fields = (...)`` and nothing more.
+    The rest reads the fields in that order, as a frozen dataclass does:
+    the generated constructor takes them by position or keyword, none
+    optional; instances are equal when their classes match and their field
+    tuples are equal, hash as that tuple, show as ``Name(field=value, ...)``
+    and pickle through the constructor.  Assigning or deleting an attribute
+    raises ``AttributeError``.  A subclass that defines its own ``__init__``
+    keeps it.
     """
 
     __slots__ = ()
@@ -54,6 +68,8 @@ class _Value:
         else:
             cls._key = attrgetter(*cls._fields)
         cls.__match_args__ = cls._fields
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _make_init(cls)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -97,19 +113,11 @@ class BoundaryPoint(_Value):
 
     __slots__ = _fields = ("side", "index")
 
-    def __init__(self, side: Side, index: int) -> None:
-        _set(self, "side", side)
-        _set(self, "index", index)
-
 
 class Endpoint(_Value):
     """One end of a chord: which component it sits on and at which visit."""
 
     __slots__ = _fields = ("component", "position")
-
-    def __init__(self, component: str, position: int) -> None:
-        _set(self, "component", component)
-        _set(self, "position", position)
 
     # _Value's methods inline, for the many endpoint comparisons of canonical
     def __eq__(self, other):
@@ -122,14 +130,10 @@ class Endpoint(_Value):
 
 
 class Classical(_Value):
-    """A classical crossing: sign and which endpoint ('a' or 'b') is the
-    over-strand passage."""
+    """A classical crossing: sign and which endpoint is the over-strand
+    passage, ``over`` being "a" or "b"."""
 
     __slots__ = _fields = ("sign", "over")
-
-    def __init__(self, sign: int, over: str) -> None:  # over: "a" | "b"
-        _set(self, "sign", sign)
-        _set(self, "over", over)
 
 
 class Singular(_Value):
@@ -138,9 +142,6 @@ class Singular(_Value):
     combinatorially."""
 
     __slots__ = _fields = ("frame",)
-
-    def __init__(self, frame: int) -> None:
-        _set(self, "frame", frame)
 
 
 ChordKind = Classical | Singular
@@ -151,12 +152,6 @@ class Chord(_Value):
     ``end_a`` is the end met first in traversal order."""
 
     __slots__ = _fields = ("label", "end_a", "end_b", "kind")
-
-    def __init__(self, label: str, end_a: Endpoint, end_b: Endpoint, kind: ChordKind) -> None:
-        _set(self, "label", label)
-        _set(self, "end_a", end_a)
-        _set(self, "end_b", end_b)
-        _set(self, "kind", kind)
 
     # _Value's methods inline, for the many chord comparisons of canonical
     def __eq__(self, other):
@@ -220,13 +215,6 @@ class TangleDiagram(_Value):
     # hash, repr and pickling leave them out
     __slots__ = _fields + ("_component_index", "_chord_index")
 
-    def __init__(self, top: int, bottom: int, components: tuple[Component, ...],
-                 chords: tuple[Chord, ...]) -> None:
-        _set(self, "top", top)
-        _set(self, "bottom", bottom)
-        _set(self, "components", components)
-        _set(self, "chords", chords)
-
     def __getattr__(self, name: str):
         # reached only while an index slot is empty; on a repeated id or
         # label the first one wins, as in a scan
@@ -255,14 +243,8 @@ class TangleDiagram(_Value):
             raise DiagramError(f"unknown chord {label!r}")
         return chord
 
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(comp.cid for comp in self.components)
-
     def has_singular(self) -> bool:
         return any(not c.is_classical for c in self.chords)
-
-
-EMPTY = TangleDiagram(0, 0, (), ())
 
 
 # ── Validation ────────────────────────────────────────────────────────────
@@ -272,10 +254,6 @@ class Violation(_Value):
     """One broken structural invariant: a stable code and a message."""
 
     __slots__ = _fields = ("code", "message")
-
-    def __init__(self, code: str, message: str) -> None:
-        _set(self, "code", code)
-        _set(self, "message", message)
 
 
 def _bad_name(name: str) -> bool:

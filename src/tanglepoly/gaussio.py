@@ -50,7 +50,6 @@ from .diagram import (
     Singular,
     TangleDiagram,
     TangleError,
-    _set,
     _Value,
     component_tokens,
 )
@@ -67,11 +66,6 @@ class SourceSpan(_Value):
     """Where a parse error is: a 1-based line and its columns."""
 
     __slots__ = _fields = ("line", "col_start", "col_end")
-
-    def __init__(self, line: int, col_start: int, col_end: int) -> None:
-        _set(self, "line", line)
-        _set(self, "col_start", col_start)
-        _set(self, "col_end", col_end)
 
     def __str__(self) -> str:
         return f"line {self.line}, cols {self.col_start}-{self.col_end}"

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .diagram import Chord, Classical, TangleDiagram, TangleError, _set, _Value
+from .diagram import Chord, Classical, TangleDiagram, TangleError, _Value
 # mono and zero stay bound in this module: bench/spans.py wraps them here.
 from .laurent import Exponents, LaurentPoly, RationalLike, as_parameter, mono, zero  # noqa: F401
 
@@ -272,16 +272,6 @@ class InvariantReport(_Value):
     """All invariant values of one diagram at fixed (a, b)."""
 
     __slots__ = _fields = ("a", "b", "psc", "plk", "plk_laurent", "vlk", "wriggle")
-
-    def __init__(self, a: Fraction, b: Fraction, psc: LaurentPoly, plk: LaurentPoly,
-                 plk_laurent: LaurentPoly, vlk: Matrix, wriggle: Matrix) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "psc", psc)
-        _set(self, "plk", plk)
-        _set(self, "plk_laurent", plk_laurent)
-        _set(self, "vlk", vlk)
-        _set(self, "wriggle", wriggle)
 
     def to_json_dict(self) -> dict:
         return {

@@ -158,10 +158,15 @@ class LaurentPoly:
 
         ``mapping`` sends old variable positions (0-based) to new positions;
         exponents of variables mapped to the same position add up.  Every
-        position carrying a nonzero exponent must be mapped.
+        position carrying a nonzero exponent must be mapped, and every target
+        must lie in ``0..new_nvars-1``.
         """
         if new_nvars < 0:
             raise ValueError("variable count must be nonnegative")
+        for pos, target in mapping.items():
+            if not 0 <= target < new_nvars:
+                raise ValueError(f"variable position {pos} maps to {target}, "
+                                 f"outside 0..{new_nvars - 1}")
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
             new = [0] * new_nvars

@@ -58,7 +58,6 @@ from .diagram import (
     TangleDiagram,
     TangleError,
     Token,
-    _set,
     _splice,
     _Value,
     component_tokens,  # noqa: F401  unused here, but bench/spans.py wraps it in this module
@@ -81,57 +80,37 @@ Gap = tuple[str, int]  # (component id, insertion index)
 
 
 class KinkInsert(_Value):
+    """``over_end`` is "a" or "b": which passage of the new chord is the
+    over one."""
+
     __slots__ = _fields = ("component", "gap", "sign", "over_end")
     kind = MoveKind.KINK_INSERT
-
-    def __init__(self, component: str, gap: int, sign: int, over_end: str) -> None:
-        _set(self, "component", component)
-        _set(self, "gap", gap)
-        _set(self, "sign", sign)
-        # "a" | "b": which passage of the new chord is the over one
-        _set(self, "over_end", over_end)
 
 
 class KinkRemove(_Value):
     __slots__ = _fields = ("label",)
     kind = MoveKind.KINK_REMOVE
 
-    def __init__(self, label: str) -> None:
-        _set(self, "label", label)
-
 
 class PairInsert(_Value):
+    """``lead_sign`` is the sign of the first inserted chord; the second is
+    opposite.  ``antiparallel`` reverses the order of the under pair."""
+
     __slots__ = _fields = ("over_gap", "under_gap", "lead_sign", "antiparallel")
     kind = MoveKind.PAIR_INSERT
 
-    def __init__(self, over_gap: Gap, under_gap: Gap, lead_sign: int, antiparallel: bool) -> None:
-        _set(self, "over_gap", over_gap)
-        _set(self, "under_gap", under_gap)
-        # sign of the first inserted chord; the second is opposite
-        _set(self, "lead_sign", lead_sign)
-        # reverse the order of the under pair
-        _set(self, "antiparallel", antiparallel)
-
 
 class PairRemove(_Value):
+    """``first`` is the chord whose over passage comes first in the over
+    pair."""
+
     __slots__ = _fields = ("first", "second")
     kind = MoveKind.PAIR_REMOVE
-
-    def __init__(self, first: str, second: str) -> None:
-        # chord whose over passage comes first in the over pair
-        _set(self, "first", first)
-        _set(self, "second", second)
 
 
 class TriangleSlide(_Value):
     __slots__ = _fields = ("x", "y", "z", "forward")
     kind = MoveKind.TRIANGLE_SLIDE
-
-    def __init__(self, x: str, y: str, z: str, forward: bool) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-        _set(self, "forward", forward)
 
 
 MoveSite = KinkInsert | KinkRemove | PairInsert | PairRemove | TriangleSlide

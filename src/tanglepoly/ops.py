@@ -21,7 +21,6 @@ from .diagram import (
     Side,
     TangleDiagram,
     TangleError,
-    _set,
     _Value,
     component_tokens,  # noqa: F401  bench/spans.py wraps it in this module
     from_tokens,
@@ -45,18 +44,14 @@ Constituent = tuple[str, int]   # ("upper" | "lower", 1-based input component nu
 
 
 class GlueResult(_Value):
-    __slots__ = _fields = ("diagram", "relations", "component_map")
+    """A glued ``diagram`` with how its variables arose.  ``relations`` are
+    the variable identifications (upper component number, lower component
+    number), 1-based, one per upper/lower adjacency inside a merge.
+    ``component_map`` gives, per result component, the ordered constituents
+    concatenated into it; numbers refer to each input's component order
+    (same numbering as the relations and the invariants' variables)."""
 
-    def __init__(self, diagram: TangleDiagram, relations: tuple[tuple[int, int], ...],
-                 component_map: tuple[tuple[Constituent, ...], ...]) -> None:
-        _set(self, "diagram", diagram)
-        # variable identifications (upper component number, lower component
-        # number), 1-based, one per upper/lower adjacency inside a merge
-        _set(self, "relations", relations)
-        # per result component, the ordered constituents concatenated into it;
-        # numbers refer to each input's component order (same numbering as the
-        # relations and the invariants' variables)
-        _set(self, "component_map", component_map)
+    __slots__ = _fields = ("diagram", "relations", "component_map")
 
     def variable_maps(self) -> tuple[dict[int, int], dict[int, int]]:
         """0-based variable position maps (upper -> result, lower -> result)

@@ -1,6 +1,9 @@
-"""Diagram model: validation, equality up to rotation, orientation reversal."""
+"""Diagram model: value constructors, validation, equality up to rotation,
+orientation reversal."""
 
+import inspect
 import random
+from dataclasses import make_dataclass
 
 import pytest
 
@@ -21,13 +24,50 @@ from tanglepoly import (
     reverse_component,
     validate,
 )
-from tanglepoly.diagram import _flip_kind, component_tokens
+from tanglepoly.diagram import _flip_kind, _set, _Value, component_tokens
 from helpers import clasp, random_diagram, virtual_trefoil
 from rebuild_oracle import from_tokens_reference
 
 
 def codes(violations):
     return {v.code for v in violations}
+
+
+def _parameters(cls) -> list:
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def test_value_constructor_is_generated_from_fields():
+    fields = ("x", "y", "z")
+    point = type("Point", (_Value,), {"__slots__": fields, "_fields": fields})
+    twin = make_dataclass("Point", fields, frozen=True)
+    value = point(1, 2, 3)
+    assert (value.x, value.y, value.z) == (1, 2, 3)
+    assert point(1, z=3, y=2) == point(x=1, y=2, z=3) == value
+    assert _parameters(point) == _parameters(twin)
+    assert point.__init__.__qualname__ == "Point.__init__"
+    # the arity errors read as the dataclass's do
+    for args, kwargs in (((1, 2), {}), ((), {}), ((1, 2, 3, 4), {}), ((1, 2, 3), {"w": 4}),
+                         ((1, 2), {"x": 1})):
+        with pytest.raises(TypeError) as ours:
+            point(*args, **kwargs)
+        with pytest.raises(TypeError) as theirs:
+            twin(*args, **kwargs)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_value_keeps_its_own_constructor():
+    class Pair(_Value):
+        __slots__ = _fields = ("a", "b")
+
+        def __init__(self, a, b=0):
+            _set(self, "a", a)
+            _set(self, "b", b)
+
+    assert Pair(1) == Pair(1, 0) == Pair(a=1, b=0)
+    either = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert _parameters(Pair) == [("a", either, inspect.Parameter.empty), ("b", either, 0)]
+    assert Component("K", ()) == Component("K", (), None, None)
 
 
 def test_empty_diagram_is_valid():
@@ -230,7 +270,7 @@ def test_reverse_twice_is_identity():
         d = random_diagram(rng, max_components=4, max_chords=12,
                            n_singular=rng.randint(0, 2))
         for start in (d, _unnormalised(rng, d)):
-            cid = rng.choice(start.component_ids())
+            cid = rng.choice([comp.cid for comp in start.components])
             once = reverse_component(start, cid)
             assert equal_diagrams(reverse_component(once, cid), start)
             # the splice normalises as a rebuild from tokens does

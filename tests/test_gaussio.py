@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tanglepoly import (
     ParseError,
+    TangleDiagram,
     equal_diagrams,
     link_with_linking_numbers,
     parse,
@@ -30,7 +31,7 @@ from parse_oracle import parse as oracle_parse
 def test_parse_clasp_structure():
     d = clasp()
     assert (d.top, d.bottom) == (2, 2)
-    assert d.component_ids() == ("A", "B")
+    assert tuple(comp.cid for comp in d.components) == ("A", "B")
     assert len(d.chords) == 2
     assert virtual_linking_number(d, 1, 2) == 1
     assert virtual_linking_number(d, 2, 1) == 1
@@ -138,9 +139,9 @@ def test_comments_and_whitespace():
 
 
 def test_serialize_empty():
-    from tanglepoly.diagram import EMPTY
-    assert serialize(EMPTY) == "tangle 0 0\n"
-    assert equal_diagrams(parse("tangle 0 0\n"), EMPTY)
+    empty = TangleDiagram(0, 0, (), ())
+    assert serialize(empty) == "tangle 0 0\n"
+    assert equal_diagrams(parse("tangle 0 0\n"), empty)
 
 
 def test_serialize_clasp_exact():
@@ -444,7 +445,8 @@ def test_token_length_bound(monkeypatch):
 
     monkeypatch.setattr(gaussio, "MAX_TOKEN_CHARS", 10)
     name = "n" * 10
-    assert parse(f"tangle 0 0\ncomponent {name} closed\n").component_ids() == (name,)
+    d = parse(f"tangle 0 0\ncomponent {name} closed\n")
+    assert tuple(comp.cid for comp in d.components) == (name,)
     # fires before any other check, at the first token over the bound, and
     # not on text after a '#'
     err = expect_error(f"knot\ncomponent {name} closed # {name}xx\n\t{name}x {name}yy\n",

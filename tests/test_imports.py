@@ -46,17 +46,16 @@ def test_public_surface_is_pinned():
 
     assert sorted(tanglepoly.__all__) == [
         "BoundaryPoint", "Chord", "Classical", "Component", "DiagramError", "Endpoint",
-        "GlueError", "GlueResult", "InvariantError", "InvariantReport", "KinkInsert",
-        "KinkRemove", "LaurentPoly", "MoveError", "MoveKind", "MoveSite", "PairInsert",
-        "PairRemove", "ParseError", "ResolutionError", "Side", "Singular", "SourceSpan",
-        "TangleDiagram", "TangleError", "TriangleSlide", "Violation", "apply", "as_fraction",
-        "canonical", "check_additivity", "closure", "connect", "diagram", "enumerate_sites",
-        "equal_diagrams", "from_json_terms", "from_tokens", "gaussio",
-        "henrich_turaev_polynomial", "intersection_index", "invariant_report", "invariants",
-        "is_string_link", "iter_walk", "laurent", "laurent_linking_polynomial",
+        "GlueError", "GlueResult", "InvariantError", "InvariantReport", "KinkInsert", "KinkRemove",
+        "LaurentPoly", "MoveError", "MoveKind", "MoveSite", "PairInsert", "PairRemove",
+        "ParseError", "ResolutionError", "Side", "Singular", "SourceSpan", "TangleDiagram",
+        "TangleError", "TriangleSlide", "Violation", "apply", "as_fraction", "canonical",
+        "check_additivity", "closure", "connect", "enumerate_sites", "equal_diagrams",
+        "from_json_terms", "from_tokens", "henrich_turaev_polynomial", "intersection_index",
+        "invariant_report", "is_string_link", "iter_walk", "laurent_linking_polynomial",
         "link_with_linking_numbers", "linking_polynomial", "long_ordered_polynomial", "mono",
-        "moves", "ops", "parse", "random_walk", "resolve", "reverse_component",
-        "self_crossing_polynomial", "serialize", "singular", "validate",
-        "vassiliev_derivative", "virtual_linking_number", "wriggle_number", "zero",
+        "parse", "random_walk", "resolve", "reverse_component", "self_crossing_polynomial",
+        "serialize", "validate", "vassiliev_derivative", "virtual_linking_number",
+        "wriggle_number", "zero",
     ]
     assert tanglepoly.BoundaryPoint._fields == ("side", "index")

@@ -165,8 +165,8 @@ def test_psc_orientation_independent():
     for _ in range(30):
         d = random_diagram(rng, max_components=3, max_chords=8)
         value = self_crossing_polynomial(d)
-        for cid in d.component_ids():
-            assert self_crossing_polynomial(reverse_component(d, cid)) == value
+        for comp in d.components:
+            assert self_crossing_polynomial(reverse_component(d, comp.cid)) == value
 
 
 # ── linking numbers ───────────────────────────────────────────────────────

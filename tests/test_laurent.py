@@ -165,6 +165,16 @@ def test_remap_variables_merges_exponents():
         mono(1, (0, 0)).remap_variables({}, -1)
 
 
+def test_remap_variables_refuses_targets_out_of_range():
+    p = mono(3, [2, 0])
+    # a negative target would wrap round to the last position
+    with pytest.raises(ValueError, match=r"^variable position 0 maps to -1, outside 0\.\.1$"):
+        p.remap_variables({0: -1}, 2)
+    with pytest.raises(ValueError, match=r"^variable position 0 maps to 5, outside 0\.\.1$"):
+        p.remap_variables({0: 5}, 2)
+    assert p.remap_variables({0: 1}, 2) == mono(3, [0, 2])
+
+
 # ── canonical-text parser used only to check render injectivity ──────────
 
 _FACTOR = re.compile(r"^t(\d+)(?:\^(-?\d+))?$")

@@ -232,7 +232,7 @@ def test_kernel_entries_agree_across_the_two_resolutions():
     for _ in range(100):
         d = random_diagram(rng, max_components=3, max_chords=8,
                            n_singular=rng.randint(1, 4))
-        number = {cid: n for n, cid in enumerate(d.component_ids())}
+        number = {comp.cid: n for n, comp in enumerate(d.components)}
         singular = [c for c in d.chords if not c.is_classical]
         choices = {c.label: rng.choice((1, -1)) for c in singular}
         for chord in singular:

@@ -91,8 +91,8 @@ def test_splice_builds_without_tokens(monkeypatch):
     for number, start in enumerate(_walk_starts()):
         for d in random_walk(start, 30, seed=number, cap=12):
             canonical(d)
-            for cid in d.component_ids():
-                reverse_component(d, cid)
+            for comp in d.components:
+                reverse_component(d, comp.cid)
     assert set(applied) == {"KinkInsert", "KinkRemove", "PairInsert", "PairRemove",
                             "TriangleSlide"}, applied
 
