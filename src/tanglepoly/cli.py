@@ -101,18 +101,31 @@ def _matrix_lines(name: str, matrix) -> list[str]:
     return lines
 
 
+def _poly_lines(a, b, psc, plk, plk_laurent) -> list[str]:
+    """The text block that every report and derivative prints."""
+    return [f"a: {a}", f"b: {b}", f"psc: {psc.render()}", f"plk: {plk.render()}",
+            f"plkL: {plk_laurent.render()}"]
+
+
+def _poly_json(a, b, psc, plk, plk_laurent) -> dict:
+    """The JSON entries that every report and derivative prints."""
+    return {
+        "psc": psc.to_json_terms(),
+        "plk": {"a": str(a), "b": str(b), "value": plk.to_json_terms()},
+        "plkL": {"a": str(a), "b": str(b), "value": plk_laurent.to_json_terms()},
+    }
+
+
 def _report_lines(report: InvariantReport) -> list[str]:
-    lines = [
-        f"components: {len(report.vlk)}",
-        f"a: {report.a}",
-        f"b: {report.b}",
-        f"psc: {report.psc.render()}",
-        f"plk: {report.plk.render()}",
-        f"plkL: {report.plk_laurent.render()}",
-    ]
-    lines += _matrix_lines("vlk", report.vlk)
-    lines += _matrix_lines("wriggle", report.wriggle)
-    return lines
+    return [f"components: {len(report.vlk)}",
+            *_poly_lines(report.a, report.b, report.psc, report.plk, report.plk_laurent),
+            *_matrix_lines("vlk", report.vlk), *_matrix_lines("wriggle", report.wriggle)]
+
+
+def _report_json(report: InvariantReport) -> dict:
+    # _json_text writes the matrices' tuples as JSON lists
+    return {**_poly_json(report.a, report.b, report.psc, report.plk, report.plk_laurent),
+            "vlk": report.vlk, "wriggle": report.wriggle}
 
 
 def _json_text(value, indent: str, string) -> str:
@@ -191,7 +204,7 @@ def _cmd_compute(args) -> int:
     diagram = _load(path)
     _require_classical(diagram, path)
     report = invariant_report(diagram, args.a, args.b)
-    _emit(args, lambda: _report_lines(report), report.to_json_dict)
+    _emit(args, lambda: _report_lines(report), lambda: _report_json(report))
     return EXIT_OK
 
 
@@ -272,7 +285,7 @@ def _cmd_sum(args) -> int:
         return lines
 
     def json_obj() -> dict:
-        obj = {name: report.to_json_dict() for name, report in reports.items()}
+        obj = {name: _report_json(report) for name, report in reports.items()}
         obj["relations"] = [list(pair) for pair in glue.relations]
         obj["additivity"] = verdict
         return obj
@@ -285,19 +298,9 @@ def _cmd_derivative(args) -> int:
     diagram = _load(_single_input(args))
     singular_count = sum(1 for c in diagram.chords if not c.is_classical)
     psc, plk, plk_l = vassiliev_derivative(diagram, args.a, args.b)
-    _emit(args, lambda: [
-        f"singular chords: {singular_count}",
-        f"a: {args.a}",
-        f"b: {args.b}",
-        f"psc: {psc.render()}",
-        f"plk: {plk.render()}",
-        f"plkL: {plk_l.render()}",
-    ], lambda: {
-        "singular": singular_count,
-        "psc": psc.to_json_terms(),
-        "plk": {"a": str(args.a), "b": str(args.b), "value": plk.to_json_terms()},
-        "plkL": {"a": str(args.a), "b": str(args.b), "value": plk_l.to_json_terms()},
-    })
+    _emit(args, lambda: [f"singular chords: {singular_count}",
+                         *_poly_lines(args.a, args.b, psc, plk, plk_l)],
+          lambda: {"singular": singular_count, **_poly_json(args.a, args.b, psc, plk, plk_l)})
     return EXIT_OK
 
 

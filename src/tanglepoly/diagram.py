@@ -298,12 +298,15 @@ def validate(diagram: TangleDiagram) -> list[Violation]:
                     f"boundary point {point.side.value}{point.index} used by both "
                     f"{used[key]!r} and {comp.cid!r}"))
             used[key] = comp.cid
+    # one violation per maximal run of unused points, found from the used ones
     for side, limit in ((Side.TOP, diagram.top), (Side.BOTTOM, diagram.bottom)):
-        for index in range(1, limit + 1):
-            if (side, index) not in used:
-                out.append(Violation(
-                    "boundary-unused",
-                    f"boundary point {side.value}{index} is not used by any component"))
+        taken = sorted(index for point_side, index in used if point_side is side)
+        for before, after in zip([0, *taken], [*taken, limit + 1]):
+            if after - before > 1:
+                points = (f"point {side.value}{before + 1} is" if after - before == 2 else
+                          f"points {side.value}{before + 1}-{side.value}{after - 1} are")
+                out.append(Violation("boundary-unused",
+                                     f"boundary {points} not used by any component"))
 
     comp_by_id = {comp.cid: comp for comp in diagram.components}
     seen_labels: set[str] = set()

@@ -273,17 +273,6 @@ class InvariantReport(_Value):
 
     __slots__ = _fields = ("a", "b", "psc", "plk", "plk_laurent", "vlk", "wriggle")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "psc": self.psc.to_json_terms(),
-            "plk": {"a": str(self.a), "b": str(self.b),
-                    "value": self.plk.to_json_terms()},
-            "plkL": {"a": str(self.a), "b": str(self.b),
-                     "value": self.plk_laurent.to_json_terms()},
-            "vlk": [list(row) for row in self.vlk],
-            "wriggle": [list(row) for row in self.wriggle],
-        }
-
 
 def invariant_report(diagram: TangleDiagram, a: RationalLike = 1,
                      b: RationalLike = 1) -> InvariantReport:

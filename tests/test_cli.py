@@ -81,6 +81,21 @@ def test_compute_json(capsys, clasp_file):
     assert data["vlk"] == [[0, 1], [1, 0]]
 
 
+def test_report_shape_and_json(capsys, clasp_file):
+    from tanglepoly.laurent import zero
+
+    code, out, _ = run(capsys, "compute", "-i", clasp_file, "--a", "1", "--b", "2",
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"psc", "plk", "plkL", "vlk", "wriggle"}
+    assert data["vlk"] == [[0, 1], [1, 0]]
+    assert data["wriggle"] == [[0, 0], [0, 0]]
+    assert data["plk"]["a"] == "1" and data["plk"]["b"] == "2"
+    assert data["plk"]["value"] == [{"coeff": "3", "exps": [1, 1]}]
+    assert data["psc"] == zero(2).to_json_terms()
+
+
 def test_compute_rational_flag_rejected(capsys, clasp_file):
     for bad in ("abc", "1/0"):
         with pytest.raises(SystemExit) as info:
@@ -167,9 +182,28 @@ def test_derivative_two_singular_vanishes(capsys, tmp_path):
 
 
 def test_derivative_matches_compute_without_singular(capsys, trefoil_file):
+    from tanglepoly import parse
+
     code, out, _ = run(capsys, "derivative", "-i", trefoil_file)
     assert code == 0
     assert "psc: -2 + 2 t1" in out
+    # with no singular chord the derivative is the report itself
+    samples = [str(path) for path in sorted((ROOT / "samples").glob("*.tangle"))
+               if not parse(path.read_text()).has_singular()]
+    assert len(samples) == 3
+    for path in samples:
+        for flags in ((), ("--a=2/3", "--b=-5")):
+            _, report, _ = run(capsys, "compute", "-i", path, *flags)
+            code, derivative, _ = run(capsys, "derivative", "-i", path, *flags)
+            assert code == 0
+            assert derivative.splitlines() == ["singular chords: 0", *report.splitlines()[1:6]]
+            _, report, _ = run(capsys, "compute", "-i", path, *flags, "--format", "json")
+            code, derivative, _ = run(capsys, "derivative", "-i", path, *flags,
+                                      "--format", "json")
+            assert code == 0
+            report = json.loads(report)
+            assert json.loads(derivative) == {"singular": 0, "psc": report["psc"],
+                                              "plk": report["plk"], "plkL": report["plkL"]}
 
 
 def test_derivative_matches_sweep_oracle(capsys, tmp_path):

@@ -111,6 +111,19 @@ def test_boundary_violations():
     assert "boundary-unused" in codes(found)
 
 
+def test_unused_boundary_run_is_one_violation():
+    found = validate(TangleDiagram(10 ** 6, 0, (), ()))
+    assert [(v.code, v.message) for v in found] == [
+        ("boundary-unused", "boundary points T1-T1000000 are not used by any component")]
+
+
+def test_unused_boundary_points_apart_keep_their_own_messages():
+    comp = Component("A", (), BoundaryPoint(Side.TOP, 2), BoundaryPoint(Side.BOTTOM, 1))
+    assert [v.message for v in validate(TangleDiagram(3, 1, (comp,), ()))] == [
+        "boundary point T1 is not used by any component",
+        "boundary point T3 is not used by any component"]
+
+
 def test_visit_mismatch():
     comp = Component("K", ("1", "2"))
     chords = (

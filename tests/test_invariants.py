@@ -29,7 +29,6 @@ from tanglepoly import (
     wriggle_number,
 )
 from tanglepoly import invariants
-from tanglepoly.laurent import zero
 from smoothing_oracle import (
     index_from_split,
     oriented_smoothing,
@@ -338,19 +337,6 @@ def test_long_ordered_polynomial_values():
 def test_long_ordered_rejects_wrong_shape():
     with pytest.raises(InvariantError):
         long_ordered_polynomial(virtual_trefoil())
-
-
-# ── report ────────────────────────────────────────────────────────────────
-
-def test_report_shape_and_json():
-    report = invariant_report(clasp(), 1, 2)
-    data = report.to_json_dict()
-    assert set(data) == {"psc", "plk", "plkL", "vlk", "wriggle"}
-    assert data["vlk"] == [[0, 1], [1, 0]]
-    assert data["wriggle"] == [[0, 0], [0, 0]]
-    assert data["plk"]["a"] == "1" and data["plk"]["b"] == "2"
-    assert data["plk"]["value"] == [{"coeff": "3", "exps": [1, 1]}]
-    assert report.psc == zero(2)
 
 
 # ── differential tests against the smoothing oracle ──────────────────────

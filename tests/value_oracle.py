@@ -148,9 +148,6 @@ class TangleDiagram:
             raise DiagramError(f"unknown chord {label!r}")
         return chord
 
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(comp.cid for comp in self.components)
-
     def has_singular(self) -> bool:
         return any(not c.is_classical for c in self.chords)
 
@@ -188,17 +185,6 @@ class InvariantReport:
     plk_laurent: LaurentPoly
     vlk: Matrix
     wriggle: Matrix
-
-    def to_json_dict(self) -> dict:
-        return {
-            "psc": self.psc.to_json_terms(),
-            "plk": {"a": str(self.a), "b": str(self.b),
-                    "value": self.plk.to_json_terms()},
-            "plkL": {"a": str(self.a), "b": str(self.b),
-                     "value": self.plk_laurent.to_json_terms()},
-            "vlk": [list(row) for row in self.vlk],
-            "wriggle": [list(row) for row in self.wriggle],
-        }
 
 
 # ── moves ─────────────────────────────────────────────────────────────────
