@@ -7,14 +7,15 @@ diagram) and ``gen`` (prescribed-linking-number link generator).
 
 Exit codes: 0 success, 2 parse/validation error or an input over one of the
 bounds below, 3 singular input where a classical diagram is required, 4 fuzz
-counterexample, 5 gluing incompatibility.  All output is deterministic given
-inputs, flags and seed.
+counterexample, 5 gluing incompatibility, 141 stdout closed before the output
+was written.  All output is deterministic given inputs, flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_FUZZ_FAIL = 4
 EXIT_GLUE = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for cat in the same place
 
 # Input bounds, checked before any work: gen builds a + b chords; fuzz makes
 # trials * steps moves, each on a diagram of at most cap chords or the
@@ -362,10 +364,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader left; fd 1 goes to devnull, so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

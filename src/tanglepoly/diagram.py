@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 _set = object.__setattr__
 
@@ -403,23 +403,26 @@ def from_tokens(top: int, bottom: int, components: Iterable[ComponentSpec],
     return _splice(TangleDiagram(top, bottom, skeleton, ()), rows, kinds)
 
 
-def component_tokens(diagram: TangleDiagram) -> dict[str, list[Token]]:
-    """Per-component (label, end-tag) tokens in traversal order."""
-    tokens: dict[str, list[Token | None]] = {
-        comp.cid: [None] * len(comp.visits) for comp in diagram.components
-    }
+def _rows(diagram: TangleDiagram, ends: Callable[[Chord], tuple]) -> dict[str, list]:
+    """Per component id, a row as long as its visits with the two items
+    ``ends(chord)`` gives at each chord's end_a and end_b; DiagramError when
+    an end is off its component or on a filled visit, or a visit stays empty."""
+    rows: dict[str, list] = {comp.cid: [None] * len(comp.visits) for comp in diagram.components}
     for chord in diagram.chords:
-        for end, tag in ((chord.end_a, "a"), (chord.end_b, "b")):
-            row = tokens.get(end.component)
+        for end, item in zip((chord.end_a, chord.end_b), ends(chord)):
+            row = rows.get(end.component)
             if row is None or not 0 <= end.position < len(row) or row[end.position] is not None:
                 raise DiagramError(f"chord {chord.label!r} endpoints are inconsistent")
-            row[end.position] = (chord.label, tag)
-    out: dict[str, list[Token]] = {}
-    for cid, row in tokens.items():
-        if any(item is None for item in row):
+            row[end.position] = item
+    for cid, row in rows.items():
+        if None in row:
             raise DiagramError(f"component {cid!r} has visits not covered by chords")
-        out[cid] = row  # type: ignore[assignment]
-    return out
+    return rows
+
+
+def component_tokens(diagram: TangleDiagram) -> dict[str, list[Token]]:
+    """Per-component (label, end-tag) tokens in traversal order."""
+    return _rows(diagram, lambda chord: ((chord.label, "a"), (chord.label, "b")))
 
 
 def _splice(diagram: TangleDiagram, rows: Mapping[str, Iterable[int | Token]],

@@ -20,9 +20,10 @@ with a source span; a text that passes them all is a diagram ``validate``
 accepts, so it is not run again.
 
 The tokenizer cuts each line at ``#`` and splits the rest with
-``str.split()``, keeping one flat list of tokens and the line number of
-each.  A valid parse builds no span: a ParseError finds its token's columns
-by scanning that one line again.  A file may hold at most MAX_CHORDS chord
+``str.split()``, keeping one flat list of tokens, the line number of each
+and only the lines that hold tokens, so that comment and blank lines cost
+no memory.  A valid parse builds no span: a ParseError finds its token's
+columns by scanning that one line again.  A file may hold at most MAX_CHORDS chord
 labels (``tanglepoly gen`` builds no more, so its output always parses back),
 MAX_COMPONENTS components (the vlk matrix a report holds has one entry per
 pair of them) and no token longer than MAX_TOKEN_CHARS characters; each
@@ -30,7 +31,8 @@ excess is a ParseError at the offending token.
 
 The serializer emits exactly this grammar, with chord labels as stored and
 closed components written from their stored basepoint, so parse(serialize(d))
-reproduces d up to closed-component rotation.
+reproduces d up to closed-component rotation.  It writes each visit from its
+chord, and raises DiagramError on a kind the grammar cannot express.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import islice
+from typing import Iterator
 
 from .diagram import (
     BoundaryPoint,
@@ -45,17 +48,18 @@ from .diagram import (
     ChordKind,
     Classical,
     Component,
+    DiagramError,
     Endpoint,
     Side,
     Singular,
     TangleDiagram,
     TangleError,
     _Value,
-    component_tokens,
+    _rows,
 )
-# Unused here, but bench/spans.py wraps from_tokens and validate in this
-# module, so they stay bound.
-from .diagram import from_tokens, validate  # noqa: F401
+# Unused here, but bench/spans.py wraps component_tokens, from_tokens and
+# validate in this module, so they stay bound.
+from .diagram import component_tokens, from_tokens, validate  # noqa: F401
 
 MAX_CHORDS = 1_000_000
 MAX_COMPONENTS = 1_000
@@ -81,6 +85,7 @@ class ParseError(TangleError):
 # str.split(), str.isspace and \s agree on what whitespace is.
 _TOKEN_RE = re.compile(r"\S+")
 _BPOINT_RE = re.compile(r"^([TB])([0-9]+):(in|out)$")
+_CHUNK = 8192  # characters the tokenizer splits into lines at a time
 
 
 def _code(line: str) -> str:
@@ -88,19 +93,30 @@ def _code(line: str) -> str:
     return line if comment < 0 else line[:comment]
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()`` in chunks, each cut just after a newline."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 class _Tokens:
     """Every token of a text in order, with the line it is on, and a cursor."""
 
     def __init__(self, text: str):
-        self.lines = text.splitlines() or [""]
+        self.code_of: dict[int, str] = {}  # line number -> its code, for spans
         self.words: list[str] = []
         self.line_of: list[int] = []
         self.pos = 0
-        for lineno, line in enumerate(self.lines, start=1):
+        lineno, line = 1, ""
+        for lineno, line in enumerate(_lines(text), start=1):
             code = _code(line)
             words = code.split()
             if not words:
                 continue
+            self.code_of[lineno] = code
             self.words += words
             self.line_of += [lineno] * len(words)
             if len(code) > MAX_TOKEN_CHARS and max(map(len, words)) > MAX_TOKEN_CHARS:
@@ -108,20 +124,21 @@ class _Tokens:
                 over = next(i for i, word in enumerate(words) if len(word) > MAX_TOKEN_CHARS)
                 raise ParseError(f"token longer than {MAX_TOKEN_CHARS} characters",
                                  self.span(first + over))
+        self.line_count, self.last_length = lineno, len(line)
 
     def span(self, index: int) -> SourceSpan:
         """Where token ``index`` is: the n-th token of its line."""
         lineno = self.line_of[index]
         nth = index - bisect_left(self.line_of, lineno)
-        match = next(islice(_TOKEN_RE.finditer(_code(self.lines[lineno - 1])), nth, None))
+        match = next(islice(_TOKEN_RE.finditer(self.code_of[lineno]), nth, None))
         return SourceSpan(lineno, match.start() + 1, match.end())
 
     def next(self, expected: str) -> int:
         """The index of the next token, which the cursor then passes."""
         if self.pos == len(self.words):
-            last = max(len(self.lines[-1]), 1)
+            last = max(self.last_length, 1)
             raise ParseError(f"unexpected end of input; expected {expected}",
-                             SourceSpan(len(self.lines), last, last))
+                             SourceSpan(self.line_count, last, last))
         self.pos += 1
         return self.pos - 1
 
@@ -281,11 +298,27 @@ def parse(text: str) -> TangleDiagram:
     return TangleDiagram(top, bottom, tuple(components), tuple(chords))
 
 
+# A passage's sign character, and the roles of end_a and end_b by ``over``.
+_SIGNS = {1: "+", -1: "-"}
+_ROLES = {"a": ("O", "U"), "b": ("U", "O")}
+
+
+def _passages(chord: Chord) -> tuple[str, str]:
+    """The visit tokens of a chord's end_a and end_b."""
+    kind = chord.kind
+    if isinstance(kind, Classical):
+        sign, roles = _SIGNS.get(kind.sign), _ROLES.get(kind.over)
+    else:
+        sign, roles = _SIGNS.get(kind.frame), ("S", "S")
+    if sign is None or roles is None:
+        raise DiagramError(f"chord {chord.label!r}: the format cannot write {kind!r}")
+    return f"{roles[0]}{chord.label}{sign}", f"{roles[1]}{chord.label}{sign}"
+
+
 def serialize(diagram: TangleDiagram) -> str:
     """Emit the canonical text form of a valid diagram."""
     lines = [f"tangle {diagram.top} {diagram.bottom}"]
-    tokens = component_tokens(diagram)
-    chord_by_label = {c.label: c for c in diagram.chords}
+    rows = _rows(diagram, _passages)
     for comp in diagram.components:
         if comp.is_closed:
             lines.append(f"component {comp.cid} closed")
@@ -295,17 +328,6 @@ def serialize(diagram: TangleDiagram) -> str:
                 f"component {comp.cid} long "
                 f"{comp.start.side.value}{comp.start.index}:in "
                 f"{comp.end.side.value}{comp.end.index}:out")
-        row = []
-        for label, tag in tokens[comp.cid]:
-            chord = chord_by_label[label]
-            kind = chord.kind
-            if isinstance(kind, Classical):
-                role = "O" if kind.over == tag else "U"
-                sign = kind.sign
-            else:
-                role = "S"
-                sign = kind.frame
-            row.append(f"{role}{label}{'+' if sign > 0 else '-'}")
-        if row:
-            lines.append(" ".join(row))
+        if rows[comp.cid]:
+            lines.append(" ".join(rows[comp.cid]))
     return "\n".join(lines) + "\n"

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .diagram import Chord, Classical, TangleDiagram, TangleError, _Value
+from .diagram import Classical, TangleDiagram, TangleError, _Value
 # mono and zero stay bound in this module: bench/spans.py wraps them here.
 from .laurent import Exponents, LaurentPoly, RationalLike, as_parameter, mono, zero  # noqa: F401
 
@@ -57,9 +57,10 @@ Links = dict[tuple[int, int], int]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _kernel(diagram: TangleDiagram) -> tuple[Crossings, Links]:
-    """The one pass over the chords behind every invariant; singular chords
-    are skipped."""
+def _kernel(diagram: TangleDiagram, refuse: str = "") -> tuple[Crossings, Links]:
+    """The one pass over the chords behind every invariant.  Singular chords
+    are skipped, or, when ``refuse`` names the invariant asked for, the
+    first one raises InvariantError."""
     components = diagram.components
     number = {comp.cid: k for k, comp in enumerate(components)}
     weights = [[0] * len(comp.visits) for comp in components]
@@ -69,6 +70,10 @@ def _kernel(diagram: TangleDiagram) -> tuple[Crossings, Links]:
     for chord in diagram.chords:
         kind = chord.kind
         if not isinstance(kind, Classical):
+            if refuse:
+                raise InvariantError(
+                    f"{refuse} is undefined on diagrams with singular chords "
+                    f"(found {chord.label!r}); resolve them first")
             continue
         end_a, end_b, sign = chord.end_a, chord.end_b, kind.sign
         i, j = number[end_a.component], number[end_b.component]
@@ -119,14 +124,6 @@ def intersection_index(diagram: TangleDiagram, label: str) -> int:
     return crossings[label][2]
 
 
-def _require_classical(diagram: TangleDiagram, what: str) -> None:
-    for chord in diagram.chords:
-        if not chord.is_classical:
-            raise InvariantError(
-                f"{what} is undefined on diagrams with singular chords "
-                f"(found {chord.label!r}); resolve them first")
-
-
 def _index_terms(n: int, crossings: Crossings, signed: bool = False,
                  ) -> dict[Exponents, int]:
     """Nonzero integer terms of sum sign * (t_i^index - 1), with |index|
@@ -150,12 +147,12 @@ def _fractions(terms: dict[Exponents, int]) -> dict[Exponents, Fraction]:
     return {key: Fraction(coeff) for key, coeff in terms.items()}
 
 
-def _normal_form(diagram: TangleDiagram) -> tuple[dict[Exponents, int], Matrix]:
+def _normal_form(diagram: TangleDiagram, refuse: str = "") -> tuple[dict[Exponents, int], Matrix]:
     """The integer terms of the self-crossing polynomial and the vlk matrix,
     which every report is built from (see the module docstring); singular
-    chords are skipped, as in ``_kernel``."""
+    chords are skipped or refused, as in ``_kernel``."""
     n = len(diagram.components)
-    crossings, links = _kernel(diagram)
+    crossings, links = _kernel(diagram, refuse)
     vlk = tuple(tuple(links.get((i, j), 0) for j in range(n)) for i in range(n))
     return _index_terms(n, crossings), vlk
 
@@ -182,9 +179,8 @@ def self_crossing_polynomial(diagram: TangleDiagram) -> LaurentPoly:
 
     One variable per component; only nonnegative exponents occur.
     """
-    _require_classical(diagram, "the self-crossing polynomial")
     n = len(diagram.components)
-    crossings, _links = _kernel(diagram)
+    crossings, _links = _kernel(diagram, "the self-crossing polynomial")
     return LaurentPoly._from_normal(n, _fractions(_index_terms(n, crossings)))
 
 
@@ -218,8 +214,7 @@ def wriggle_number(diagram: TangleDiagram, i: int, j: int) -> int:
 
 def _linking_family(diagram: TangleDiagram, a: RationalLike, b: RationalLike,
                     laurent: bool, what: str) -> LaurentPoly:
-    _require_classical(diagram, what)
-    psc_terms, vlk = _normal_form(diagram)
+    psc_terms, vlk = _normal_form(diagram, what)
     return _with_links(len(vlk), _fractions(psc_terms), vlk,
                        as_parameter(a), as_parameter(b), laurent)
 
@@ -260,8 +255,7 @@ def long_ordered_polynomial(diagram: TangleDiagram) -> LaurentPoly:
     """
     if len(diagram.components) != 1 or not diagram.components[0].is_long:
         raise InvariantError("expected exactly one long component")
-    _require_classical(diagram, "the ordered polynomial")
-    crossings, _links = _kernel(diagram)
+    crossings, _links = _kernel(diagram, "the ordered polynomial")
     return LaurentPoly._from_normal(1, _fractions(_index_terms(1, crossings, signed=True)))
 
 
@@ -278,8 +272,7 @@ def invariant_report(diagram: TangleDiagram, a: RationalLike = 1,
                      b: RationalLike = 1) -> InvariantReport:
     """Evaluate every invariant from the diagram's normal form."""
     a_frac, b_frac = as_parameter(a), as_parameter(b)
-    _require_classical(diagram, "the self-crossing polynomial")
-    psc_ints, vlk = _normal_form(diagram)
+    psc_ints, vlk = _normal_form(diagram, "the self-crossing polynomial")
     n = len(vlk)
     psc_terms = _fractions(psc_ints)
     wriggle = tuple(tuple(vlk[i][j] - vlk[j][i] for j in range(n)) for i in range(n))

@@ -14,6 +14,7 @@ compare invariant values across the gluing.
 from __future__ import annotations
 
 from .diagram import (
+    Chord,
     ChordKind,
     Classical,
     Component,
@@ -22,6 +23,7 @@ from .diagram import (
     TangleDiagram,
     TangleError,
     _Value,
+    _rows,
     component_tokens,  # noqa: F401  bench/spans.py wraps it in this module
     from_tokens,
 )
@@ -134,38 +136,24 @@ def connect(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
         merged.append((members, node is not None or comp_of[head].is_closed))
     merged.sort(key=lambda item: min(rank[node] for node in item[0]))
 
-    # one row per result component; each input component fills a slot
-    # (row, offset, length) of it, in its constituents' order
-    slots: dict[tuple[str, str], tuple[list, int, int]] = {}
+    # chords are renumbered '1', '2', ...: upper's in order, then lower's
+    kinds: dict[str, ChordKind] = {}
+
+    def renumber(chord: Chord) -> tuple[tuple[str, str], tuple[str, str]]:
+        label = str(len(kinds) + 1)
+        kinds[label] = chord.kind
+        return (label, "a"), (label, "b")
+
+    rows = {side: _rows(diagram, renumber) for side, diagram, _interface in inputs}
     specs = []
     for number, (members, closes_up) in enumerate(merged, start=1):
-        row: list[tuple[str, str] | None] = []
+        row = []
         for side, input_number in members:
-            comp = comp_of[side, input_number]
-            slots[side, comp.cid] = (row, len(row), len(comp.visits))
-            row += [None] * len(comp.visits)
+            row += rows[side][comp_of[side, input_number].cid]
         start = end = None
         if not closes_up:
             start, end = comp_of[members[0]].start, comp_of[members[-1]].end
         specs.append((f"s{number}", start, end, row))
-
-    # chords are renumbered '1', '2', ...: upper's in order, then lower's
-    kinds: dict[str, ChordKind] = {}
-    for side, diagram, _interface in inputs:
-        for chord in diagram.chords:
-            label = str(len(kinds) + 1)
-            kinds[label] = chord.kind
-            for passage, tag in ((chord.end_a, "a"), (chord.end_b, "b")):
-                # an unknown component has no room
-                row, offset, length = slots.get((side, passage.component), ([], 0, 0))
-                position = offset + passage.position
-                if not 0 <= passage.position < length or row[position] is not None:
-                    raise DiagramError(f"chord {chord.label!r} endpoints are inconsistent")
-                row[position] = (label, tag)
-        for comp in diagram.components:
-            row, offset, length = slots[side, comp.cid]
-            if None in row[offset:offset + length]:
-                raise DiagramError(f"component {comp.cid!r} has visits not covered by chords")
 
     glued = from_tokens(upper.top, lower.bottom, specs, kinds)
     return GlueResult(glued, tuple(relations),

@@ -14,8 +14,10 @@ step, ``connect_by_tokens`` glues through both inputs' tokens, finding each
 interface point's owner by a scan of the components, ``resolve_by_chords``
 rebuilds every chord of a resolution, ``sweep_derivative`` is the generic
 finite-type derivative of any invariant, an alternating sum over the 2^k
-resolutions that ``all_resolutions`` lists, and ``derivative_by_sweeps``
-writes the ``derivative`` output from three such sweeps, one per polynomial.
+resolutions that ``all_resolutions`` lists, ``derivative_by_sweeps``
+writes the ``derivative`` output from three such sweeps, one per polynomial,
+and ``serialize_by_tokens`` writes a diagram's text through its endpoint
+tokens, looking up each token's chord by label.
 """
 
 from __future__ import annotations
@@ -524,6 +526,39 @@ def connect_by_tokens(upper: TangleDiagram, lower: TangleDiagram) -> GlueResult:
 
     diagram = from_tokens(upper.top, lower.bottom, specs, kinds)
     return GlueResult(diagram, tuple(relations), tuple(component_map))
+
+
+# ── Text output ───────────────────────────────────────────────────────────
+
+
+def serialize_by_tokens(diagram: TangleDiagram) -> str:
+    """Emit the canonical text form of a valid diagram."""
+    lines = [f"tangle {diagram.top} {diagram.bottom}"]
+    tokens = component_tokens(diagram)
+    chord_by_label = {c.label: c for c in diagram.chords}
+    for comp in diagram.components:
+        if comp.is_closed:
+            lines.append(f"component {comp.cid} closed")
+        else:
+            assert comp.start is not None and comp.end is not None
+            lines.append(
+                f"component {comp.cid} long "
+                f"{comp.start.side.value}{comp.start.index}:in "
+                f"{comp.end.side.value}{comp.end.index}:out")
+        row = []
+        for label, tag in tokens[comp.cid]:
+            chord = chord_by_label[label]
+            kind = chord.kind
+            if isinstance(kind, Classical):
+                role = "O" if kind.over == tag else "U"
+                sign = kind.sign
+            else:
+                role = "S"
+                sign = kind.frame
+            row.append(f"{role}{label}{'+' if sign > 0 else '-'}")
+        if row:
+            lines.append(" ".join(row))
+    return "\n".join(lines) + "\n"
 
 
 # ── Resolutions and the derivative ────────────────────────────────────────

@@ -509,6 +509,30 @@ def _run_on_stdin(data: bytes):
                           input=data, env=env, capture_output=True)
 
 
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("argv", [
+    ["compute", "-i", str(ROOT / "samples" / "clasp.tangle")],
+    ["compute", "-i", str(ROOT / "samples" / "clasp.tangle"), "--format", "json"],
+    ["gen", "3", "2"],
+])
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # stdout is a pipe whose reader has left, with and without buffering:
+    # the write or the flush at the end raises EPIPE
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tanglepoly.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_input_file_that_is_not_utf8(capsys, tmp_path):
     path = tmp_path / "bad.tangle"
     path.write_bytes(NOT_UTF8_TEXT)
@@ -558,9 +582,9 @@ def test_sum_computes_each_report_once(capsys, monkeypatch):
     calls = []
     kernel = invariants._kernel
 
-    def spy(diagram):
+    def spy(diagram, *args):
         calls.append(diagram)
-        return kernel(diagram)
+        return kernel(diagram, *args)
 
     monkeypatch.setattr(invariants, "_kernel", spy)
     sample = str(Path(__file__).resolve().parent.parent / "samples" / "clasp.tangle")

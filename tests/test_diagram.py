@@ -484,3 +484,30 @@ def test_canonical_matches_rotation_search():
         got, want = canonical(d), canonical_by_search(d)
         assert got == want, d
         assert repr(got) == repr(want)
+
+
+def test_chord_ends_and_visits_must_agree():
+    # the one check behind component_tokens, serialize and connect, naming
+    # the first chord or component at fault
+    good = clasp()
+    first, second = good.chords
+    a, b = good.components
+
+    def with_second(end_a, end_b):
+        moved = Chord(second.label, end_a, end_b, second.kind)
+        return TangleDiagram(good.top, good.bottom, good.components, (first, moved))
+
+    inconsistent = f"chord {second.label!r} endpoints are inconsistent"
+    cases = [
+        (with_second(second.end_a, Endpoint("Z", 0)), inconsistent),
+        (with_second(second.end_a, Endpoint(b.cid, len(b.visits))), inconsistent),
+        (with_second(second.end_a, Endpoint(b.cid, -1)), inconsistent),
+        (with_second(first.end_a, second.end_b), inconsistent),
+        (TangleDiagram(good.top, good.bottom,
+                       (Component(a.cid, a.visits + ("3",), a.start, a.end), b), good.chords),
+         f"component {a.cid!r} has visits not covered by chords"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(DiagramError) as info:
+            component_tokens(bad)
+        assert str(info.value) == message

@@ -458,3 +458,99 @@ def test_gen_output_is_within_the_chord_bound():
     from tanglepoly import cli, gaussio
 
     assert cli.MAX_GEN_CHORDS <= gaussio.MAX_CHORDS
+
+
+# ── The serializer against tests/rebuild_oracle.py ────────────────────────
+
+
+def test_serialize_matches_token_oracle(monkeypatch):
+    from collections import Counter
+
+    from tanglepoly import connect, moves, random_walk, reverse_component
+    from tanglepoly.diagram import Singular
+    from helpers import closed_triangle_knot, positive_braid_triangle, random_string_link
+    from rebuild_oracle import serialize_by_tokens
+
+    applied = Counter()
+    real_apply = moves.apply
+
+    def spy(diagram, site):
+        applied[type(site).__name__] += 1
+        return real_apply(diagram, site)
+
+    monkeypatch.setattr(moves, "apply", spy)
+    rng = random.Random(29)
+    diagrams = [clasp(), virtual_trefoil(), singular_virtual_trefoil(),
+                TangleDiagram(0, 0, (), ())]
+    starts = [positive_braid_triangle(), closed_triangle_knot()]
+    starts += [random_diagram(rng, max_components=3, max_chords=8,
+                              n_singular=rng.choice((0, 1, 2))) for _ in range(40)]
+    for seed, start in enumerate(starts):
+        diagrams += random_walk(start, 30, seed=seed, cap=rng.choice((6, 12, 24)))
+    for strands in (1, 2, 3, 4):
+        for _ in range(6):
+            upper, lower = (random_string_link(rng, strands, 10) for _ in range(2))
+            diagrams.append(connect(upper, lower).diagram)
+    diagrams += [link_with_linking_numbers(a, b) for a in range(4) for b in range(4)]
+    diagrams += [reverse_component(d, comp.cid) for d in list(diagrams)
+                 for comp in d.components]
+    assert set(applied) == {"KinkInsert", "KinkRemove", "PairInsert", "PairRemove",
+                            "TriangleSlide"}, applied
+    frames = {c.kind.frame for d in diagrams for c in d.chords if isinstance(c.kind, Singular)}
+    assert frames == {1, -1}
+    for d in diagrams:
+        assert serialize(d) == serialize_by_tokens(d), d
+
+
+def test_serialize_refuses_kinds_the_format_cannot_write():
+    from tanglepoly import DiagramError
+    from tanglepoly.diagram import Chord, Classical, Singular
+
+    good = clasp()
+    first, second = good.chords
+    for kind in (Classical(2, "a"), Classical(0, "a"), Singular(0), Singular(3),
+                 Classical(1, "c")):
+        bad = TangleDiagram(good.top, good.bottom, good.components,
+                            (first, Chord(second.label, second.end_a, second.end_b, kind)))
+        assert validate(bad)
+        with pytest.raises(DiagramError) as info:
+            serialize(bad)
+        assert str(info.value) == f"chord {second.label!r}: the format cannot write {kind!r}"
+
+
+# ── The tokenizer keeps only lines that hold tokens ───────────────────────
+
+
+def test_comment_lines_cost_no_memory():
+    import tracemalloc
+
+    text = "tangle 0 0\n" + "##\n" * 100_000
+    tracemalloc.start()
+    try:
+        assert parse(text) == TangleDiagram(0, 0, (), ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), peak
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8])
+def test_lines_split_in_chunks_as_splitlines(monkeypatch, chunk):
+    from tanglepoly import gaussio
+
+    monkeypatch.setattr(gaussio, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    pieces = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "", "a", "bc",
+              "# x", " "]
+    for _ in range(300):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        assert list(gaussio._lines(text)) == text.splitlines(), repr(text)
+    # spans and the end of input keep their line numbers and columns
+    text = "tangle 0 0\r\n\r\n# c\rcomponent K closed\x0c\u2028O1+  U1+ O2+\r\n\n  "
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.message, str(info.value.span)) == (
+        "dangling chord '2': label appears only once", "line 6, cols 10-12")
+    with pytest.raises(ParseError) as info:
+        parse("tangle 0\r\n\r\n  ")
+    assert str(info.value.span) == "line 3, cols 2-2"

@@ -152,6 +152,42 @@ def test_psc_rejects_singular():
         self_crossing_polynomial(singular_virtual_trefoil())
 
 
+def test_singular_refusal_names_the_first_singular_chord():
+    # the kernel pass refuses at the first singular chord in chord order,
+    # after classical chords before it
+    d = parse("tangle 1 1\ncomponent K long T1:in B1:out\nO1+ S9- U1+ S3+ S9- S3+\n")
+    calls = (
+        ("the self-crossing polynomial", self_crossing_polynomial),
+        ("the self-crossing polynomial", invariant_report),
+        ("the linking polynomial", lambda d: linking_polynomial(d, 2, 3)),
+        ("the Laurent linking polynomial", lambda d: laurent_linking_polynomial(d, 2, 3)),
+        ("the ordered polynomial", long_ordered_polynomial),
+    )
+    for what, function in calls:
+        with pytest.raises(InvariantError) as info:
+            function(d)
+        assert str(info.value) == (f"{what} is undefined on diagrams with singular chords "
+                                   f"(found '9'); resolve them first")
+
+
+def test_report_reads_no_chord_kind_test(monkeypatch):
+    from tanglepoly.diagram import Chord
+
+    reads = []
+    real = Chord.is_classical
+
+    def counting(chord):
+        reads.append(chord.label)
+        return real.fget(chord)
+
+    monkeypatch.setattr(Chord, "is_classical", property(counting))
+    d = random_diagram(random.Random(4), max_components=3, max_chords=10)
+    assert d.chords and not d.has_singular()
+    reads.clear()
+    invariant_report(d, 2, 3)
+    assert reads == []
+
+
 def test_psc_vanishes_at_one():
     rng = random.Random(7)
     for _ in range(40):

@@ -250,9 +250,9 @@ def test_additivity_runs_one_kernel_pass_per_diagram(monkeypatch, capsys, tmp_pa
     calls = []
     kernel = invariants._kernel
 
-    def spy(diagram):
+    def spy(diagram, *args):
         calls.append(diagram)
-        return kernel(diagram)
+        return kernel(diagram, *args)
 
     monkeypatch.setattr(invariants, "_kernel", spy)
     upper, lower = clasp(), random_string_link(random.Random(5), 2, max_chords=6)
@@ -445,6 +445,9 @@ def test_connect_rejects_inconsistent_chords():
     for name, bad in broken.items():
         with pytest.raises(DiagramError) as expected:
             component_tokens(bad)
+        with pytest.raises(DiagramError) as written:
+            serialize(bad)
+        assert str(written.value) == str(expected.value), name
         for upper, lower in ((bad, good), (good, bad), (bad, bad)):
             with pytest.raises(DiagramError) as info:
                 connect(upper, lower)
